@@ -70,7 +70,10 @@ def parse_rational(text: str) -> Fraction:
     >>> parse_rational("-3/6")
     Fraction(-1, 2)
     """
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def parse_vector(text: str):
@@ -207,18 +210,36 @@ def cmd_refine(config: RunConfig) -> int:
     return 0
 
 
+def _check_subset(datum, subset) -> None:
+    """An out-of-range --P is a configuration problem, not a module failure."""
+    if any(i >= datum.rank_ss for i in subset):
+        raise ConfigError(f"--P indices must lie in 1..{datum.rank_ss} for "
+                          f"{datum.label}, got {[i + 1 for i in subset]}")
+
+
+def _batch_rows(path: str, width: int, what: str):
+    """The rational rows of a --batch CSV, skipping blank and # lines; a
+    malformed row is a configuration problem, as the same flag would be."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) != width:
+                raise ConfigError(f"{where}: batch rows need {width} entries "
+                                  f"({what}), got {len(row)}")
+            try:
+                vals = tuple(parse_rational(c) for c in row)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+            yield vals
+
+
 def _gamma_points(config: RunConfig, dim: int):
     if config.batch:
-        with open(config.batch, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                if len(row) != 2 * dim:
-                    raise ValueError(
-                        f"batch rows need {2 * dim} entries (H then X), "
-                        f"got {len(row)}")
-                vals = [parse_rational(c) for c in row]
-                yield tuple(vals[:dim]), tuple(vals[dim:])
+        for vals in _batch_rows(config.batch, 2 * dim, "H then X"):
+            yield vals[:dim], vals[dim:]
     else:
         if config.h is None or config.x is None:
             raise ConfigError("gamma needs --H and --X (or --batch)")
@@ -227,6 +248,7 @@ def _gamma_points(config: RunConfig, dim: int):
 
 def cmd_gamma(config: RunConfig) -> int:
     datum = _datum(config.ctype)
+    _check_subset(datum, config.p_subset)
     ctx = TruncationContext(datum)
     rows = []
     for h, x in _gamma_points(config, datum.dim):
@@ -245,14 +267,11 @@ def cmd_qpsum(config: RunConfig) -> int:
         raise ConfigError("qpsum needs --q")
     if not is_prime_power(config.q):
         raise ConfigError(f"q must be a prime power, got {config.q}")
+    _check_subset(datum, config.p_subset)
     spec = standard_lattice_spec(datum, config.p_subset)
     points = []
     if config.batch:
-        with open(config.batch, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                points.append(tuple(parse_rational(c) for c in row))
+        points.extend(_batch_rows(config.batch, datum.dim, "X"))
     else:
         if config.x is None:
             raise ConfigError("qpsum needs --X (or --batch)")

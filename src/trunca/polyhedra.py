@@ -257,13 +257,12 @@ class _DatumTables:
         return self.minrep(outer_subset)[inner_rep.index] == outer_rep.index
 
 
-_TABLES: dict = {}
-
-
 def _tables(datum: RootDatum) -> _DatumTables:
-    if datum not in _TABLES:
-        _TABLES[datum] = _DatumTables(datum)
-    return _TABLES[datum]
+    """The datum's tables, cached on the datum itself so they die with it."""
+    tables = datum.__dict__.get("_polyhedra_tables")
+    if tables is None:
+        tables = datum._polyhedra_tables = _DatumTables(datum)
+    return tables
 
 
 def vertex_walls_clear(cp: ComplementaryPolyhedron) -> bool:

@@ -404,8 +404,6 @@ def brute_sum(spec: LatticeSpec, x, certify: bool = False) -> Fraction:
     if spec.rank == 0:
         return spec.multiplicity * ctx.gamma(spec.subset, spec.base_point, x)
     box = ctx.gamma_support_box(spec.subset, x)
-    if box.empty:
-        return Fraction(0)
     total = _sum_over_ranges(spec, x, _coordinate_ranges(spec, box, margin=0))
     if certify:
         widened = _sum_over_ranges(spec, x, _coordinate_ranges(spec, box, margin=1))

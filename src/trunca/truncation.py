@@ -7,10 +7,10 @@ against the relative simple roots, respectively the relative fundamental
 weights.  ``langlands_inversion_check`` evaluates the alternating sum over
 intermediate parabolics that should telescope to a Kronecker delta, and
 ``gamma`` is the compactly-supported alternating-sum function whose support
-``gamma_support_box`` brackets by exact grid scanning.
+``gamma_support_box`` brackets by the vertices of a hyperplane arrangement.
 
 Everything is exact: inputs are rational vectors, indicators compare exact
-rationals to zero, and grid scans run on scaled integers.
+rationals to zero, and the arrangement's vertices solve rational systems.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import ConsistencyError, WallError
-from .linalg import dot, lcm_den, matvec, scaled_int_vec
+from .errors import WallError
+from .linalg import basis_vec, dot, matvec, solve
 from .parabolic import projector_to_aP, relative_weight
 from .rootdata import RootDatum
 
@@ -40,20 +40,16 @@ class SupportBox:
     ``entries`` holds one ``(j, covector, lo, hi)`` per simple index outside
     the parabolic: the covector is ``alpha_j o proj`` and the support lies
     where every pairing falls inside ``[lo, hi]``.  ``trivial`` marks the
-    full-group case (gamma is constant 1, so there is no box) and ``empty``
-    the identically-zero case.
+    full-group case (gamma is constant 1, so there is no box).
     """
 
     subset: tuple[int, ...]
     entries: tuple
     trivial: bool = False
-    empty: bool = False
 
     def contains(self, h) -> bool:
         if self.trivial:
             return True
-        if self.empty:
-            return False
         return all(lo <= dot(cov, h) <= hi for _, cov, lo, hi in self.entries)
 
 
@@ -185,147 +181,45 @@ class TruncationContext:
 
     # -- support bracketing ---------------------------------------------------
 
-    def gamma_support_box(self, p_subset, x, max_radius: int = 4096) -> SupportBox:
-        """Bracket the support of ``gamma(P, ., x)`` by exact grid scanning.
+    def gamma_support_box(self, p_subset, x) -> SupportBox:
+        """Certified bounds on the support of ``gamma(P, ., x)``.
 
-        The support lives in the root coordinates t_j = <alpha_j o proj, h>;
-        the scan walks outward on a denominator-refined half-offset grid
-        until shells come back empty twice, then certifies by re-scanning
-        out to twice the found radius.  Bounds carry a one-step margin.
+        With t_j = <alpha_j o proj, h>, w_j = <varpi_j, h_P> and
+        c_j = <varpi_j, x> for j outside P, the alternating sum in
+        :meth:`gamma` factors as the product of [t_j > 0] - [w_j > c_j]
+        (the relative roots and weights do not depend on Q), so the support
+        lies in K = {t : t_j (w_j - c_j) <= 0 for every j}.  K is a union of
+        polytopes, bounded because (<varpi_j, varpi_k^vee>) is a P-matrix
+        (Arthur's compactness of Gamma'_P), and their vertices are vertices
+        of the arrangement t_j = 0, w_j = c_j.  The box is the bounding box
+        of the arrangement vertices that lie in K, walls included.
         """
         p = _norm_subset(self.datum, p_subset)
-        n = self.datum.rank_ss
-        rest = [j for j in range(n) if j not in p]
+        rest = [j for j in range(self.datum.rank_ss) if j not in p]
         m = len(rest)
         if m == 0:
             return SupportBox(p, (), trivial=True)
 
-        proj = self.projector(p)
-        axes = [matvec(proj, self.datum.fundamental_coweights[j]) for j in rest]
-        # weight pairings and offsets in t-coordinates
-        w_rows = [[dot(self.datum.fundamental_weights[j], a) for a in axes]
-                  for j in rest]
-        consts = [dot(self.datum.fundamental_weights[j], x) for j in rest]
-        den = 2 * lcm_den([v for row in w_rows for v in row] + consts + [1])
-        scale = lcm_den([v for row in w_rows for v in row] + [1])
-        w_int = [scaled_int_vec(row, scale) for row in w_rows]
-        c_int = list(scaled_int_vec(consts, scale * den))
-
-        subsets = []
-        for size in range(m + 1):
-            for extra in combinations(range(m), size):
-                q_positions = set(extra)
-                sign = (-1) ** (m - size)
-                subsets.append((q_positions, sign))
-
-        def gamma_at(nums):
-            # nums are the t-coordinates times den (odd integers off walls)
-            total = 0
-            for q_positions, sign in subsets:
-                ok = True
-                for pos in q_positions:
-                    if nums[pos] <= 0:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                for pos in range(m):
-                    if pos in q_positions:
-                        continue
-                    acc = 0
-                    row = w_int[pos]
-                    for k in range(m):
-                        acc += row[k] * nums[k]
-                    if acc <= c_int[pos]:
-                        ok = False
-                        break
-                if ok:
-                    total += sign
-            return total
-
-        def shell_points(level):
-            # sup-norm shell: odd numerators 2k+1 with max |2k+1| = 2*level-1
-            for point in _shell_iter(m, level - 1):
-                yield tuple(2 * k + 1 for k in point)
-
-        lo = [None] * m
-        hi = [None] * m
-        found_any = False
-
-        def absorb(nums):
-            nonlocal found_any
-            found_any = True
-            for pos in range(m):
-                t = Fraction(nums[pos], den)
-                if lo[pos] is None or t < lo[pos]:
-                    lo[pos] = t
-                if hi[pos] is None or t > hi[pos]:
-                    hi[pos] = t
-
-        r0 = 1
-        for c in consts:
-            r0 = max(r0, 1 + int(abs(c)))
-        r0 = min(r0 * den, max_radius)
-
-        level = 0
-        empty_streak = 0
-        last_hit = 0
-        while True:
-            level += 1
-            if level > max_radius:
-                raise ConsistencyError("support scan exceeded the radius cap")
-            hit = False
-            for nums in shell_points(level):
-                if gamma_at(nums) != 0:
-                    absorb(nums)
-                    hit = True
-            if hit:
-                last_hit = level
-                empty_streak = 0
-            else:
-                empty_streak += 1
-            if level >= r0 and empty_streak >= 2:
-                # certification: scan out to twice the last hit (or a fixed
-                # floor when nothing was found)
-                target = max(2 * last_hit, level + 2)
-                certified = True
-                for lvl in range(level + 1, target + 1):
-                    for nums in shell_points(lvl):
-                        if gamma_at(nums) != 0:
-                            absorb(nums)
-                            last_hit = lvl
-                            certified = False
-                if certified:
-                    break
-                level = target
-                empty_streak = 0
-
-        if not found_any:
-            return SupportBox(p, (), empty=True)
-        step = Fraction(1, den)
+        weights = [self.datum.fundamental_weights[j] for j in rest]
+        # h_P is sum_k t_k varpi_k^vee plus a central part that every
+        # fundamental weight kills, so w = w_rows . t.
+        w_rows = [tuple(dot(wt, self.datum.fundamental_coweights[k]) for k in rest)
+                  for wt in weights]
+        consts = [dot(wt, x) for wt in weights]
+        planes = ([(basis_vec(m, pos), 0) for pos in range(m)]
+                  + list(zip(w_rows, consts, strict=True)))
+        vertices = []
+        for chosen in combinations(planes, m):
+            try:
+                t = solve([row for row, _ in chosen], [c for _, c in chosen])
+            except ValueError:  # the chosen hyperplanes meet in no single point
+                continue
+            w = matvec(w_rows, t)
+            if all(t[k] * (w[k] - consts[k]) <= 0 for k in range(m)):
+                vertices.append(t)
+        # t = 0 is always such a vertex, so the box is never empty
         entries = tuple(
-            (j, self.proj_covector(p, j), lo[pos] - step, hi[pos] + step)
+            (j, self.proj_covector(p, j),
+             min(t[pos] for t in vertices), max(t[pos] for t in vertices))
             for pos, j in enumerate(rest))
         return SupportBox(p, entries)
-
-
-def _shell_iter(m, lim):
-    """Integer points k in [-lim-1, lim]^m whose offsets 2k+1 have sup-norm
-    exactly 2*lim+1 (the outermost half-offset shell)."""
-    seen = set()
-    for axis in range(m):
-        for side in (lim, -lim - 1):
-            for rest in _box_iter(m - 1, lim):
-                point = rest[:axis] + (side,) + rest[axis:]
-                if point not in seen:
-                    seen.add(point)
-                    yield point
-
-
-def _box_iter(m, lim):
-    if m == 0:
-        yield ()
-        return
-    for k in range(-lim - 1, lim + 1):
-        for rest in _box_iter(m - 1, lim):
-            yield (k,) + rest

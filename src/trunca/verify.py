@@ -85,13 +85,14 @@ class ReportRecord:
 
 
 def _tally(suite: str, case: str, total: int, failures: list) -> ReportRecord:
+    """A record that passes only when it checked something and all held."""
     expected = f"{total} exact"
     if failures:
         first = failures[0]
         actual = f"{total - len(failures)}/{total} exact; first failure: {first}"
     else:
         actual = expected
-    return ReportRecord(suite, case, expected, actual, not failures)
+    return ReportRecord(suite, case, expected, actual, total > 0 and not failures)
 
 
 # -- shared samplers ----------------------------------------------------------

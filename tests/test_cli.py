@@ -176,11 +176,31 @@ def test_config_file(tmp_path, capsys):
     ("slltrace", "--q", "6", "--l", "2", "--sweep"),
     ("filtercheck", "--group", "GL2", "--q", "5",
      "--theta-lambda", "1", "--theta-mu", "2"),
+    ("gamma", "--type", "A1", "--P", "", "--H", "1/0", "--X", "1"),
+    ("gamma", "--type", "A2", "--P", "5", "--H", "1,1", "--X", "1,1"),
+    ("qpsum", "--type", "A2", "--P", "5", "--X", "1,1", "--q", "2"),
 ])
 def test_invalid_configuration_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "trunca:" in err
+
+
+@pytest.mark.parametrize("command,row", [
+    ("gamma", "1/2,two"),     # non-numeric
+    ("gamma", "1/2,2,3"),     # wrong length
+    ("gamma", "1/0,2"),       # zero denominator
+    ("qpsum", "x"),
+    ("qpsum", "4,4"),
+])
+def test_malformed_batch_row_exits_2(tmp_path, capsys, command, row):
+    batch = tmp_path / "points.csv"
+    batch.write_text(f"# comment\n{row}\n")
+    extra = ("--q", "3") if command == "qpsum" else ()
+    code, _, err = run_cli(capsys, command, "--type", "A1", "--P", "",
+                           "--batch", str(batch), *extra)
+    assert code == 2
+    assert f"{batch}:2:" in err
 
 
 def test_config_file_validation(tmp_path, capsys):
@@ -194,6 +214,13 @@ def test_config_file_validation(tmp_path, capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "slltrace", "--config", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+def test_verify_checking_nothing_fails(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "refinement",
+                           "--type", "A2", "--samples", "0")
+    assert code == 1
+    assert json.loads(out)["ok"] is False
 
 
 def test_module_errors_exit_1(capsys):

@@ -7,8 +7,10 @@ the Borel facet whose chamber moves xi to the dominant cone, or the full
 group when xi is antidominant).
 """
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -189,6 +191,15 @@ def test_refinement_clauses_on_random_corpus():
             full = tuple(range(d.rank_ss))
             want = 1 if (ref.subset == full and ref.rep.length == 0) else 0
             assert semistability_indicator(cp) == want
+
+
+def test_refinement_tables_die_with_their_datum():
+    d = build_root_datum("A2")
+    canonical_refinement(random_polyhedron(d, seed="tables"))
+    ref = weakref.ref(d)
+    del d
+    gc.collect()
+    assert ref() is None
 
 
 def test_refinement_restricted_to_parabolic():

@@ -89,6 +89,22 @@ def test_routes_agree_and_q_is_irrelevant(kind, subset):
         assert values == {reference}
 
 
+@pytest.mark.parametrize("kind,subset,coords,expect", [
+    ("G2", (), (1, -3), 1),
+    ("G2", (), (-2, 2), 1),
+    ("G2", (0,), (1, -2), -1),
+    ("A3", (0, 1), (-1, -2, 3), 1),
+    ("A3", (0, 1), (2, -2, 6), 4),
+    ("A3", (1, 2), (2, 6, -2), 4),
+])
+def test_support_on_walls_is_summed(kind, subset, coords, expect):
+    # each of these sums picks up lattice points on walls of gamma's support
+    datum = build_root_datum(kind)
+    spec = standard_lattice_spec(datum, subset)
+    x = spec.x_point(coords)
+    assert brute_sum(spec, x) == product_eval(spec, x, 2) == expect
+
+
 def test_zero_parameter_sums_to_zero():
     for kind, subset in [("A1", ()), ("A2", ()), ("B2", (0,))]:
         datum = build_root_datum(kind)

@@ -12,9 +12,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trunca.errors import WallError
-from trunca.linalg import dot
+from trunca.linalg import dot, matvec
 from trunca.rootdata import build_root_datum
 from trunca.truncation import TruncationContext
 
@@ -169,7 +171,7 @@ def test_support_box_contains_every_support_point():
     ctx = _context("A2")
     x = (Fraction(3), Fraction(2))
     box = ctx.gamma_support_box((), x)
-    assert not box.empty and not box.trivial
+    assert not box.trivial
     grid = [Fraction(t, 2) for t in range(-10, 16)]
     seen_nonzero = 0
     for h in itertools.product(grid, repeat=2):
@@ -193,8 +195,45 @@ def test_support_box_negative_direction():
 def test_support_box_degenerate_flags():
     ctx = _context("A2")
     zero = (Fraction(0), Fraction(0))
-    assert ctx.gamma_support_box((), zero).empty
     assert ctx.gamma_support_box((0, 1), zero).trivial
-    # empty boxes contain nothing, trivial ones everything
-    assert not ctx.gamma_support_box((), zero).contains(zero)
+    # trivial boxes contain everything
     assert ctx.gamma_support_box((0, 1), zero).contains((Fraction(99), Fraction(1)))
+
+
+# -- properties on a small-denominator grid, walls included -------------------
+
+_PROPERTY_CONTEXTS = {kind: _context(kind) for kind in ("A1", "A2", "B2", "G2", "A3")}
+
+
+@st.composite
+def _gamma_inputs(draw):
+    ctx = _PROPERTY_CONTEXTS[draw(st.sampled_from(sorted(_PROPERTY_CONTEXTS)))]
+    subset = tuple(i for i in range(ctx.datum.rank_ss) if draw(st.booleans()))
+    grid = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2)))
+    h = tuple(draw(grid) for _ in range(ctx.datum.dim))
+    x = tuple(draw(grid) for _ in range(ctx.datum.dim))
+    return ctx, subset, h, x
+
+
+def _product_form(ctx, subset, h, x):
+    """gamma as the product over j outside P of [t_j > 0] - [w_j > c_j]."""
+    h_p = matvec(ctx.projector(subset), h)
+    value = 1
+    for j in range(ctx.datum.rank_ss):
+        if j not in subset:
+            weight = ctx.datum.fundamental_weights[j]
+            value *= (int(dot(ctx.proj_covector(subset, j), h_p) > 0)
+                      - int(dot(weight, h_p) > dot(weight, x)))
+    return value
+
+
+# 600 examples reach G2 wall points that a scan of off-wall points misses;
+# 300 do not.
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(_gamma_inputs())
+def test_gamma_is_the_product_form_and_lies_in_its_box(inputs):
+    ctx, subset, h, x = inputs
+    value = ctx.gamma(subset, h, x)
+    assert value == _product_form(ctx, subset, h, x)
+    if value != 0:
+        assert ctx.gamma_support_box(subset, x).contains(h)
