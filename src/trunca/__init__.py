@@ -32,11 +32,8 @@ from .errors import (
 )
 from .parabolic import (
     SemiStandardParabolic,
-    delta_PQ,
     enumerate_semistandard,
     enumerate_standard,
-    hat_delta_PQ,
-    project_aP,
     projector_to_aP,
     relative_weight,
     xi_general_position,
@@ -60,13 +57,11 @@ from .quasipoly import (
     QuasiPolynomial,
     brute_sum,
     fit_quasipolynomial,
-    is_prime_power,
     product_eval,
     standard_lattice_spec,
 )
 from .rootdata import (
     Folding,
-    LeviDatum,
     Root,
     RootDatum,
     WeylElement,
@@ -74,7 +69,6 @@ from .rootdata import (
     build_root_datum,
     fold,
     generate_weyl,
-    levi_datum,
     pairing,
 )
 from .truncation import SupportBox, TruncationContext
@@ -88,7 +82,6 @@ __all__ = [
     "WallError",
     "CyclotomicNumber",
     "Folding",
-    "LeviDatum",
     "Root",
     "RootDatum",
     "WeylElement",
@@ -96,14 +89,10 @@ __all__ = [
     "build_root_datum",
     "fold",
     "generate_weyl",
-    "levi_datum",
     "pairing",
     "SemiStandardParabolic",
-    "delta_PQ",
     "enumerate_semistandard",
     "enumerate_standard",
-    "hat_delta_PQ",
-    "project_aP",
     "projector_to_aP",
     "relative_weight",
     "xi_general_position",
@@ -125,7 +114,6 @@ __all__ = [
     "QuasiPolynomial",
     "brute_sum",
     "fit_quasipolynomial",
-    "is_prime_power",
     "product_eval",
     "standard_lattice_spec",
     "FiniteField",

@@ -32,6 +32,8 @@ def factor_prime_power(q: int):
 
     >>> factor_prime_power(8), factor_prime_power(12)
     ((2, 3), None)
+    >>> [q for q in range(2, 20) if factor_prime_power(q)]
+    [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
     """
     if q < 2:
         return None
@@ -373,9 +375,6 @@ class LieTorusModel:
         _, e = factor_prime_power(q)
         self.field = FiniteField(self.p, e * l)
 
-    def in_base_field(self, a) -> bool:
-        return self.field.power(a, self.q) == a
-
     def orbit(self, x) -> tuple:
         out, term = [], x
         for _ in range(self.l):
@@ -447,18 +446,21 @@ def regular_pair(model: LieTorusModel):
 # assembling the multiplicity
 
 
-def assemble_J(theta_lambda: TorusCharacter, theta_mu: TorusCharacter) -> Fraction:
+def assemble_J(theta_lambda: TorusCharacter, theta_mu: TorusCharacter,
+               char_sum: int) -> Fraction:
     """The assembled spectral multiplicity for a character pair.
 
-    Zero straight away when the central restriction fails; otherwise
-    (1/l) (1/m) char_sum + z * l (q-1) / (q^l - 1), where the volume factor
-    1/m and the unit orbital value folded into the last term are fixed
-    rational constants.  The result must land in {0, 1}.
+    ``char_sum`` is the pair's :func:`char_sum_regular`, which the caller
+    has already computed.  Zero straight away when the central restriction
+    fails; otherwise (1/l) (1/m) char_sum + z * l (q-1) / (q^l - 1), where
+    the volume factor 1/m and the unit orbital value folded into the last
+    term are fixed rational constants.  The result must land in {0, 1}.
 
     >>> t = build_torus(2, 3)
-    >>> assemble_J(t.character(1), t.character(3))
+    >>> a, b = t.character(1), t.character(3)
+    >>> assemble_J(a, b, char_sum_regular(a, b))
     Fraction(1, 1)
-    >>> assemble_J(t.character(1), t.character(1))
+    >>> assemble_J(a, a, char_sum_regular(a, a))
     Fraction(0, 1)
     """
     _require_same_torus(theta_lambda, theta_mu)
@@ -466,7 +468,7 @@ def assemble_J(theta_lambda: TorusCharacter, theta_mu: TorusCharacter) -> Fracti
     t = theta_lambda.torus
     if not central_character_ok(theta_lambda, theta_mu):
         return Fraction(0)
-    sum_part = Fraction(char_sum_regular(theta_lambda, theta_mu), t.l * t.m)
+    sum_part = Fraction(char_sum, t.l * t.m)
     orbital_part = t.z * Fraction(t.l * (t.q - 1), t.q ** t.l - 1)
     total = sum_part + orbital_part
     if total not in (0, 1):

@@ -27,12 +27,13 @@ from .charfield import (
     char_sum_regular,
     contragredient_test,
     cuspidal_filter_check,
+    factor_prime_power,
     general_position,
 )
 from .errors import CartanMatrixError, ConsistencyError
 from .parabolic import enumerate_semistandard
 from .polyhedra import canonical_refinement, degree, random_polyhedron
-from .quasipoly import brute_sum, is_prime_power, product_eval, standard_lattice_spec
+from .quasipoly import brute_sum, product_eval, standard_lattice_spec
 from .rootdata import build_root_datum
 from .truncation import TruncationContext
 from .verify import SUITES, fmt_rational, run_suites
@@ -218,9 +219,14 @@ def _check_subset(datum, subset) -> None:
 
 
 def _batch_rows(path: str, width: int, what: str):
-    """The rational rows of a --batch CSV, skipping blank and # lines; a
-    malformed row is a configuration problem, as the same flag would be."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """The rational rows of a --batch CSV, skipping blank and # lines; an
+    unreadable file or a malformed row is a configuration problem, as the
+    same flag would be."""
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read --batch file: {exc}") from exc
+    with fh:
         reader = csv.reader(fh)
         for row in reader:
             if not row or row[0].lstrip().startswith("#"):
@@ -265,7 +271,7 @@ def cmd_qpsum(config: RunConfig) -> int:
     datum = _datum(config.ctype)
     if config.q is None:
         raise ConfigError("qpsum needs --q")
-    if not is_prime_power(config.q):
+    if factor_prime_power(config.q) is None:
         raise ConfigError(f"q must be a prime power, got {config.q}")
     _check_subset(datum, config.p_subset)
     spec = standard_lattice_spec(datum, config.p_subset)
@@ -282,7 +288,7 @@ def cmd_qpsum(config: RunConfig) -> int:
         if len(x) != datum.dim:
             raise ConfigError(f"X must have {datum.dim} coordinates")
         b = brute_sum(spec, x)
-        p = product_eval(spec, x, config.q)
+        p = product_eval(spec, x)
         equal = b == p
         all_equal = all_equal and equal
         rows.append({"X": fmt_vector(x), "brute": fmt_rational(b),
@@ -306,7 +312,7 @@ def _sll_row(torus, ka: int, kb: int) -> dict:
            "char_sum": "", "J": ""}
     if gp:
         row["char_sum"] = char_sum_regular(ta, tb)
-        row["J"] = fmt_rational(assemble_J(ta, tb))
+        row["J"] = fmt_rational(assemble_J(ta, tb, row["char_sum"]))
     return row
 
 
@@ -342,7 +348,7 @@ def cmd_filtercheck(config: RunConfig) -> int:
     n = int(group[2:])
     if config.q is None:
         raise ConfigError("filtercheck needs --q")
-    if not is_prime_power(config.q):
+    if factor_prime_power(config.q) is None:
         raise ConfigError(f"q must be a prime power, got {config.q}")
     if config.theta_lambda is None or config.theta_mu is None:
         raise ConfigError("filtercheck needs --theta-lambda and --theta-mu")
@@ -424,7 +430,8 @@ def _build_parser():
     p.add_argument("--type", dest="ctype", required=True)
     p.add_argument("--P", dest="p_subset", default="",
                    help="1-based simple indices of the parabolic; empty = Borel")
-    p.add_argument("--q", type=int, help="prime power")
+    p.add_argument("--q", type=int,
+                   help="prime power (checked; the result does not depend on it)")
     p.add_argument("--X", dest="x", help="comma-separated rational coordinates")
     p.add_argument("--batch", help="CSV of X rows")
 

@@ -248,26 +248,6 @@ class CyclotomicNumber:
         inv = [x / g[0] for x in u]
         return CyclotomicNumber(self.order, inv)
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError
-            return self * (Fraction(1) / Fraction(other))
-        a, b = self._coerce(other)
-        return a * b.inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = CyclotomicNumber.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -7,9 +7,9 @@ point anywhere.  The sizes involved are tiny (ambient dimension <= 8), so
 the implementations are straightforward textbook ones; clarity wins over
 asymptotics.
 
-The integer half (Hermite/Smith normal forms, integral solving) backs the
-lattice computations: quotient structure of one lattice inside another,
-membership of a vector in an integral span, and integral kernels.
+The integer half (Smith normal form, integral solving) backs the lattice
+computations: quotient structure of one lattice inside another and
+membership of a vector in an integral span.
 
 >>> mat_inverse(((Fraction(2), Fraction(-1)), (Fraction(-1), Fraction(2))))
 ((Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 3), Fraction(2, 3)))
@@ -42,10 +42,6 @@ def vadd(u, v) -> Vec:
 
 def vsub(u, v) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vneg(u) -> Vec:
-    return tuple(-a for a in u)
 
 
 def vscale(c, u) -> Vec:
@@ -95,10 +91,6 @@ def matmul(a, b) -> Mat:
         )
         for i in range(rows)
     )
-
-
-def transpose(m) -> Mat:
-    return tuple(zip(*m, strict=True))
 
 
 def identity_matrix(n) -> Mat:
@@ -166,26 +158,6 @@ def rank(m) -> int:
     return len(_gauss(rows, len(m[0]) if m else 0))
 
 
-def rational_kernel(m) -> tuple[Vec, ...]:
-    """Basis of the right kernel {x : m x = 0} over Q.
-
-    >>> rational_kernel(((1, 1),))
-    ((Fraction(-1, 1), Fraction(1, 1)),)
-    """
-    ncols = len(m[0]) if m else 0
-    rows = [[frac(x) for x in row] for row in m]
-    pivots = _gauss(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        x = [Fraction(0)] * ncols
-        x[fcol] = Fraction(1)
-        for r, pcol in enumerate(pivots):
-            x[pcol] = -rows[r][fcol]
-        basis.append(tuple(x))
-    return tuple(basis)
-
-
 def lcm_den(values) -> int:
     """lcm of the denominators of an iterable of rationals (1 if empty)."""
     out = 1
@@ -205,16 +177,11 @@ def scaled_int_vec(v, scale) -> tuple[int, ...]:
     return tuple(out)
 
 
-def idot(u, v) -> int:
-    """Integer dot product (hot path; no Fractions)."""
-    return sum(map(lambda a, b: a * b, u, v))
-
-
 # --- integer normal forms -------------------------------------------------
 #
-# Conventions: everything below takes matrices of machine ints.  hermite/smith
-# return transforms as full matrices, so callers can push coordinates around
-# without re-deriving them.
+# Conventions: everything below takes matrices of machine ints.  smith
+# returns its transforms as full matrices, so callers can push coordinates
+# around without re-deriving them.
 
 
 def _swap_rows(m, i, j):
@@ -223,55 +190,6 @@ def _swap_rows(m, i, j):
 
 def _addmul_row(m, dst, src, c):
     m[dst] = [a + c * b for a, b in zip(m[dst], m[src])]
-
-
-def integer_hermite(m):
-    """Row Hermite normal form.
-
-    Returns (H, U) with U unimodular, U*m == H, H in row echelon form with
-    positive pivots and reduced entries above each pivot.
-
-    >>> H, U = integer_hermite(((2, 4), (3, 6)))
-    >>> H
-    ((1, 2), (0, 0))
-    """
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    h = [list(row) for row in m]
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    r = 0
-    for c in range(ncols):
-        # Euclid down column c to leave a single nonzero at row r.
-        while True:
-            nz = [i for i in range(r, nrows) if h[i][c] != 0]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: abs(h[i][c]))
-            _swap_rows(h, r, piv)
-            _swap_rows(u, r, piv)
-            done = True
-            for i in range(r + 1, nrows):
-                if h[i][c] != 0:
-                    q = h[i][c] // h[r][c]
-                    _addmul_row(h, i, r, -q)
-                    _addmul_row(u, i, r, -q)
-                    if h[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < nrows and h[r][c] != 0:
-            if h[r][c] < 0:
-                h[r] = [-x for x in h[r]]
-                u[r] = [-x for x in u[r]]
-            for i in range(r):
-                q = h[i][c] // h[r][c]
-                if q:
-                    _addmul_row(h, i, r, -q)
-                    _addmul_row(u, i, r, -q)
-            r += 1
-            if r == nrows:
-                break
-    return tuple(map(tuple, h)), tuple(map(tuple, u))
 
 
 def integer_smith(m):
@@ -381,18 +299,6 @@ def integer_solve(m, b):
             if i < ncols:
                 y[i] = c[i] // di
     return tuple(sum(v[i][j] * y[j] for j in range(ncols)) for i in range(ncols))
-
-
-def integer_kernel(m):
-    """Basis of {x in Z^n : m x = 0} (a full lattice basis of the kernel)."""
-    ncols = len(m[0]) if m else 0
-    d, _u, v = integer_smith(m)
-    cols = []
-    for j in range(ncols):
-        dj = d[j] if j < len(d) else 0
-        if dj == 0:
-            cols.append(tuple(v[i][j] for i in range(ncols)))
-    return tuple(cols)
 
 
 def in_integer_span(vectors, target):

@@ -8,10 +8,12 @@ subgroup ``W_I``: it is the standard one conjugated by ``w``.
 
 The ambient space splits as ``a_B = a_B^P + a_P`` where ``a_B^P`` is spanned
 by the simple coroots in ``I`` and ``a_P`` is the common kernel of those
-simple roots; :func:`project_aP` computes the two components.  The relative
-root/weight families :func:`delta_PQ` and :func:`hat_delta_PQ` are returned
-as covectors on all of ``a_B`` so callers can pair them against anything
-without tracking which subspace they came from.
+simple roots; :func:`projector_to_aP` is the projection onto ``a_P`` along
+``a_B^P``.  It and :func:`relative_weight` are the building blocks of the
+relative root/weight families Delta_P^Q and hat-Delta_P^Q, which
+:class:`trunca.truncation.TruncationContext` serves (``delta`` and
+``hat_delta``) as covectors on all of ``a_B``, so callers can pair them
+against anything without tracking which subspace they came from.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ from .linalg import (
     lcm_den,
     mat_inverse,
     matmul,
+    matvec,
     scaled_int_vec,
-    solve,
-    vecmat,
-    vsub,
 )
 from .rootdata import RootDatum, WeylElement
 
@@ -116,47 +116,6 @@ def projector_to_aP(datum: RootDatum, subset):
                  for i in range(datum.dim))
 
 
-def project_aP(datum: RootDatum, v, subset):
-    """Split ``v`` as (component in ``a_B^P``, component in ``a_P``).
-
-    The first component lies in the span of the simple coroots of ``subset``
-    and the second is killed by the corresponding simple roots.
-
-    >>> from trunca.rootdata import build_root_datum
-    >>> d = build_root_datum("A2")
-    >>> project_aP(d, d.simple_coroots[0], (0,))
-    ((Fraction(2, 1), Fraction(-1, 1)), (Fraction(0, 1), Fraction(0, 1)))
-    """
-    subset = sorted(subset)
-    if not subset:
-        return tuple(Fraction(0) for _ in v), tuple(Fraction(x) for x in v)
-    a_sub = tuple(tuple(Fraction(datum.cartan[i][j]) for j in subset)
-                  for i in subset)
-    rhs = tuple(Fraction(v[i]) for i in subset)  # <alpha_i, v> = v_i
-    x = solve(a_sub, rhs)
-    v_bp = tuple(Fraction(0) for _ in v)
-    for coeff, i in zip(x, subset, strict=True):
-        v_bp = tuple(a + coeff * b
-                     for a, b in zip(v_bp, datum.simple_coroots[i]))
-    v_p = vsub(tuple(Fraction(c) for c in v), v_bp)
-    return v_bp, v_p
-
-
-def delta_PQ(datum: RootDatum, p_subset, q_subset):
-    """Relative simple roots between nested standard parabolics.
-
-    For each simple index j in Q but not in P (ascending), the functional
-    ``alpha_j o proj_{a_P}`` as a covector on all of ``a_B``.
-    """
-    p_set, q_set = set(p_subset), set(q_subset)
-    if not p_set <= q_set:
-        raise ValueError(f"parabolic {sorted(p_set)} is not contained "
-                         f"in {sorted(q_set)}")
-    proj = projector_to_aP(datum, p_subset)
-    return tuple(vecmat(datum.simple_roots[j], proj)
-                 for j in sorted(q_set - p_set))
-
-
 def relative_weight(datum: RootDatum, q_subset, j):
     """The fundamental weight of j relative to the sub-system on ``q_subset``.
 
@@ -183,20 +142,6 @@ def relative_weight(datum: RootDatum, q_subset, j):
     return tuple(cov)
 
 
-def hat_delta_PQ(datum: RootDatum, p_subset, q_subset):
-    """Relative fundamental weights between nested standard parabolics.
-
-    For each simple index in Q - P (ascending), the fundamental weight
-    relative to Q: it kills ``a_Q`` and every simple coroot of P.
-    """
-    p_set, q_set = set(p_subset), set(q_subset)
-    if not p_set <= q_set:
-        raise ValueError(f"parabolic {sorted(p_set)} is not contained "
-                         f"in {sorted(q_set)}")
-    return tuple(relative_weight(datum, q_subset, j)
-                 for j in sorted(q_set - p_set))
-
-
 def xi_general_position(datum: RootDatum, xi, lattice=None) -> bool:
     """Is the point ``xi`` in general position for the given coweight lattice?
 
@@ -216,19 +161,14 @@ def xi_general_position(datum: RootDatum, xi, lattice=None) -> bool:
     if lattice is None:
         lattice = tuple(datum.simple_coroots) + tuple(datum.central_basis)
     n = datum.rank_ss
-    full = frozenset(range(n))
-    for size in range(n):
-        for subset in combinations(range(n), size):
-            if frozenset(subset) == full:
-                continue
-            _, xi_p = project_aP(datum, xi, subset)
-            gens = [project_aP(datum, b, subset)[1] for b in lattice]
-            # work modulo a_G: the central coordinates span it exactly
-            target = xi_p[:n]
-            gens = [g[:n] for g in gens]
-            scale = lcm_den([x for g in gens for x in g] + list(target))
-            int_gens = [scaled_int_vec(g, scale) for g in gens]
-            int_target = scaled_int_vec(target, scale)
-            if in_integer_span(int_gens, int_target):
-                return False
+    for subset in enumerate_standard(datum)[:-1]:  # the last one is G itself
+        proj = projector_to_aP(datum, subset)
+        # work modulo a_G: the central coordinates span it exactly
+        target = matvec(proj, xi)[:n]
+        gens = [matvec(proj, b)[:n] for b in lattice]
+        scale = lcm_den([x for g in gens for x in g] + list(target))
+        int_gens = [scaled_int_vec(g, scale) for g in gens]
+        int_target = scaled_int_vec(target, scale)
+        if in_integer_span(int_gens, int_target):
+            return False
     return True

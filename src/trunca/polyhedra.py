@@ -23,7 +23,7 @@ from itertools import combinations
 
 from .errors import ConsistencyError
 from .linalg import dot, frac, vadd, vsub, zero_vec
-from .parabolic import SemiStandardParabolic
+from .parabolic import SemiStandardParabolic, enumerate_standard
 from .rootdata import Folding, RootDatum, WeylElement
 from .truncation import TruncationContext
 
@@ -206,9 +206,6 @@ class _DatumTables:
     def __init__(self, datum: RootDatum):
         self.datum = datum
         self.ctx = TruncationContext(datum)
-        self.all_subsets = tuple(
-            s for size in range(datum.rank_ss + 1)
-            for s in combinations(range(datum.rank_ss), size))
         self._minrep = {}
         self._root_sum = {}
         self._candidates = {}
@@ -275,7 +272,7 @@ def vertex_walls_clear(cp: ComplementaryPolyhedron) -> bool:
     tab = _tables(cp.datum)
     n = cp.datum.rank_ss
     covs = []
-    for subset in tab.all_subsets:
+    for subset in enumerate_standard(cp.datum):
         inside = set(subset)
         for j in range(n):
             if j in inside:

@@ -454,25 +454,7 @@ def _sum_over_ranges(spec: LatticeSpec, x, ranges) -> Fraction:
 # route two: generating functions
 
 
-def is_prime_power(q: int) -> bool:
-    """True when q = p**k for a prime p and k >= 1.
-
-    >>> [q for q in range(2, 20) if is_prime_power(q)]
-    [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
-    """
-    if q < 2:
-        return False
-    for p in range(2, q + 1):
-        if p * p > q:
-            return True  # q itself is prime
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-    return True  # pragma: no cover
-
-
-def product_eval(spec: LatticeSpec, x, q: int) -> Fraction:
+def product_eval(spec: LatticeSpec, x) -> Fraction:
     """The lattice sum via geometric series, exactly.
 
     Each superset of the spec's subset contributes a signed cone; in the
@@ -483,18 +465,14 @@ def product_eval(spec: LatticeSpec, x, q: int) -> Fraction:
     unity) * u**(integer) / (1 - ...), and the value is the constant term of
     the alternating sum at u = 1, extracted by exact Laurent expansion.
     Negative powers of (u - 1) must cancel across cones; if they do not, a
-    :class:`ConsistencyError` reports the failure.  The base ``q`` of the
-    substitution is checked to be a prime power; the result provably does
-    not depend on it.
+    :class:`ConsistencyError` reports the failure.
 
     >>> from .rootdata import build_root_datum
     >>> d = build_root_datum([[2]])
     >>> spec = LatticeSpec(d, (), [d.simple_coroots[0]])
-    >>> product_eval(spec, (5,), 2)
+    >>> product_eval(spec, (5,))
     Fraction(2, 1)
     """
-    if not is_prime_power(q):
-        raise ValueError(f"q must be a prime power, got {q}")
     x = vec(x)
     spec.x_coords(x)  # raises LatticeError when off the parameter lattice
     n = len(spec.datum.cartan)

@@ -50,7 +50,6 @@ from .linalg import (
     matvec,
     vec,
     vecmat,
-    zero_vec,
 )
 
 _TYPE_RE = re.compile(r"^([A-G])(\d+)$")
@@ -295,32 +294,6 @@ class RootDatum:
         return tuple(r for r in self.roots
                      if r.positive and (r.reduced or not reduced_only))
 
-    def root_inner(self, a: Root, b: Root) -> Fraction:
-        """(a, b) under the Weyl-invariant form (short simple roots have
-        squared length 2 in each component)."""
-        total = Fraction(0)
-        for i, x in enumerate(a.coords):
-            if x:
-                for j, y in enumerate(b.coords):
-                    if y:
-                        total += x * y * self.gram[i][j]
-        return total
-
-    def pairing(self, cov, v) -> Fraction:
-        """<covector, vector> — the canonical pairing in these coordinates."""
-        return dot(cov, v)
-
-    def describe(self) -> dict:
-        return {
-            "label": self.label,
-            "cartan": [list(r) for r in self.cartan],
-            "rank_ss": self.rank_ss,
-            "rank_central": self.rank_central,
-            "num_roots": len(self.roots),
-            "num_positive": self.n_positive,
-            "weyl_order": self.weyl.order,
-        }
-
     def __repr__(self):
         return (f"RootDatum({self.label!r}, rank_ss={self.rank_ss}, "
                 f"rank_central={self.rank_central}, roots={len(self.roots)})")
@@ -415,16 +388,6 @@ class WeylGroup:
     def act(self, w: WeylElement, v):
         """w applied to a vector of a_B."""
         return matvec(w.matrix, v)
-
-    def act_covector(self, w: WeylElement, cov):
-        """w applied to a covector (composition with w^{-1})."""
-        return vecmat(cov, w.inv_matrix)
-
-    def root_image(self, w: WeylElement, root_index: int) -> int:
-        return w.root_perm[root_index]
-
-    def sends_positive(self, w: WeylElement, root_index: int) -> bool:
-        return w.root_perm[root_index] < self.datum.n_positive
 
     def inversions(self, w: WeylElement) -> int:
         n_pos = self.datum.n_positive
@@ -595,14 +558,6 @@ class Folding:
             coords.append(v[rep])
         coords.extend(v[self.big.rank_ss:])
         return tuple(coords)
-
-    def embed_vector(self, v_small):
-        return matvec(self.embed, v_small)
-
-    def restrict_covector(self, cov):
-        """Pull a big covector back along the embedding (restriction to the
-        fixed subspace, in folded coordinates)."""
-        return vecmat(cov, self.embed)
 
     @cached_property
     def weyl_correspondence(self):
@@ -848,86 +803,3 @@ def fold(datum: RootDatum, perm, order: int | None = None) -> Folding:
     embed = tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(dim))
 
     return Folding(datum, perm, small, tuple(orbits), c_by_index, embed, sigma)
-
-
-# --- Levi sub-data -----------------------------------------------------------
-
-
-class LeviDatum:
-    """The root datum of a standard Levi subgroup, with coordinate maps.
-
-    The Levi of the standard parabolic P_I shares the ambient space of the
-    parent; its own coweight + central coordinates differ, and ``to_sub`` /
-    ``from_sub`` translate (both directions are exact inverse matrices).
-    ``index_map[i]`` is the parent index of the i-th sub simple root.
-    """
-
-    def __init__(self, parent: RootDatum, subset):
-        subset = sorted(subset)
-        self.parent = parent
-        self.index_map = tuple(subset)
-        sub_cartan = [[parent.cartan[i][j] for j in subset] for i in subset]
-        extra_central = parent.rank_ss - len(subset)
-        self.datum = RootDatum(sub_cartan, extra_central + parent.rank_central,
-                               label=f"{parent.label} Levi {subset}")
-        n, dim = parent.rank_ss, parent.dim
-        cols = []
-        if subset:
-            a_sub = tuple(tuple(frac(parent.cartan[i][j]) for j in subset)
-                          for i in subset)
-            a_inv = mat_inverse(a_sub)
-            for pos in range(len(subset)):
-                col = zero_vec(dim)
-                for q, j in enumerate(subset):
-                    col = tuple(
-                        c + a_inv[q][pos] * x
-                        for c, x in zip(col, parent.simple_coroots[j]))
-                cols.append(col)
-        for jj in range(n):
-            if jj not in subset:
-                cols.append(basis_vec(dim, jj))
-        for kk in range(parent.rank_central):
-            cols.append(basis_vec(dim, n + kk))
-        self.from_sub = tuple(tuple(cols[j][i] for j in range(dim))
-                              for i in range(dim))
-        self.to_sub = mat_inverse(self.from_sub)
-
-    def vector_to_sub(self, v):
-        return matvec(self.to_sub, v)
-
-    def vector_from_sub(self, v):
-        return matvec(self.from_sub, v)
-
-    def covector_to_sub(self, cov):
-        """Rewrite a parent covector in sub coordinates (pullback along from_sub)."""
-        return vecmat(cov, self.from_sub)
-
-    @cached_property
-    def weyl_correspondence(self):
-        """dict: sub Weyl element index -> the parent Weyl subgroup element
-        with the same action (conjugated through the coordinate change)."""
-        sub_weyl = self.datum.weyl
-        parent_weyl = self.parent.weyl
-        match = {}
-        for w in sub_weyl.elements:
-            parent_matrix = matmul(self.from_sub, matmul(w.matrix, self.to_sub))
-            try:
-                key = int_matrix(parent_matrix)
-            except ValueError as exc:
-                raise ConsistencyError(
-                    "Levi Weyl element is not integral in parent "
-                    "coordinates") from exc
-            if key not in parent_weyl.by_key:
-                raise ConsistencyError(
-                    "Levi Weyl element does not match any parent element")
-            match[w.index] = parent_weyl.by_key[key]
-        expected = {w.index for w in parent_weyl.subgroup(self.index_map)}
-        if {w.index for w in match.values()} != expected:
-            raise ConsistencyError(
-                "Levi Weyl group does not match the parent subgroup")
-        return match
-
-
-def levi_datum(datum: RootDatum, subset) -> LeviDatum:
-    """Root datum of the standard Levi M_{P_I} with coordinate change maps."""
-    return LeviDatum(datum, subset)

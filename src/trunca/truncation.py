@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import WallError
-from .linalg import basis_vec, dot, matvec, solve
+from .linalg import basis_vec, dot, matvec, solve, vecmat
 from .parabolic import projector_to_aP, relative_weight
 from .rootdata import RootDatum
 
@@ -76,18 +76,25 @@ class TruncationContext:
         subset = _norm_subset(self.datum, subset)
         key = (subset, j)
         if key not in self._proj_cov:
-            proj = self.projector(subset)
-            cov = tuple(sum(self.datum.simple_roots[j][r] * proj[r][c]
-                            for r in range(self.datum.dim))
-                        for c in range(self.datum.dim))
-            self._proj_cov[key] = cov
+            self._proj_cov[key] = vecmat(self.datum.simple_roots[j],
+                                         self.projector(subset))
         return self._proj_cov[key]
 
-    def delta(self, p_subset, q_subset):
-        """(j, alpha_j o proj_P) for j in Q - P, ascending."""
+    def _nested(self, p_subset, q_subset):
+        """The normalised pair (P, Q), which must satisfy P <= Q."""
         p, q = _norm_subset(self.datum, p_subset), _norm_subset(self.datum, q_subset)
         if not set(p) <= set(q):
             raise ValueError(f"parabolic {p} is not contained in {q}")
+        return p, q
+
+    def delta(self, p_subset, q_subset):
+        """(j, alpha_j o proj_P) for j in Q - P, ascending.
+
+        >>> from trunca.rootdata import build_root_datum
+        >>> TruncationContext(build_root_datum("A2")).delta((0,), (0, 1))
+        ((1, (Fraction(1, 2), Fraction(1, 1))),)
+        """
+        p, q = self._nested(p_subset, q_subset)
         return tuple((j, self.proj_covector(p, j)) for j in q if j not in p)
 
     def rel_weight(self, q_subset, j):
@@ -99,10 +106,9 @@ class TruncationContext:
         return self._rel_weight[key]
 
     def hat_delta(self, p_subset, q_subset):
-        """(j, Q-relative fundamental weight of j) for j in Q - P, ascending."""
-        p, q = _norm_subset(self.datum, p_subset), _norm_subset(self.datum, q_subset)
-        if not set(p) <= set(q):
-            raise ValueError(f"parabolic {p} is not contained in {q}")
+        """(j, Q-relative fundamental weight of j) for j in Q - P, ascending;
+        each weight kills a_Q and every simple coroot of P."""
+        p, q = self._nested(p_subset, q_subset)
         return tuple((j, self.rel_weight(q, j)) for j in q if j not in p)
 
     # -- cone indicators ----------------------------------------------------
@@ -135,10 +141,7 @@ class TruncationContext:
         Raises :class:`WallError` when h lies on a wall of any functional in
         the relevant family (the answer would be convention-dependent there).
         """
-        p = _norm_subset(self.datum, p_subset)
-        q = _norm_subset(self.datum, q_subset)
-        if not set(p) <= set(q):
-            raise ValueError(f"parabolic {p} is not contained in {q}")
+        p, q = self._nested(p_subset, q_subset)
         between = [j for j in q if j not in p]
         for j in between:
             if dot(self.proj_covector(p, j), h) == 0:

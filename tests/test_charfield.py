@@ -164,7 +164,26 @@ def test_assembly_is_the_contragredient_indicator(q, l):
     for ka, kb in itertools.product(gp, repeat=2):
         pair = (t.character(ka), t.character(kb))
         want = Fraction(1 if contragredient_test(*pair) else 0)
-        assert assemble_J(*pair) == want
+        assert assemble_J(*pair, char_sum_regular(*pair)) == want
+
+
+def test_slltrace_suite_sums_each_pair_once(monkeypatch):
+    from trunca import charfield, verify
+
+    calls = []
+
+    def counting(theta_lambda, theta_mu):
+        calls.append((theta_lambda.exponent, theta_mu.exponent))
+        return char_sum_regular(theta_lambda, theta_mu)
+
+    # both names: the suite's own call and any call made inside charfield
+    monkeypatch.setattr(verify, "char_sum_regular", counting)
+    monkeypatch.setattr(charfield, "char_sum_regular", counting)
+    records = verify.suite_slltrace()
+    pairs = sum(int(r.expected.split()[0]) for r in records
+                if r.case.endswith("/closed-forms"))
+    assert all(r.ok for r in records)
+    assert len(calls) == pairs == 1056
 
 
 # -- the additive side ----------------------------------------------------------------
@@ -212,8 +231,6 @@ def test_lie_model_orbits():
     assert set(m.orbit(r)) == {(0, 1, 0), (0, 0, 1), (1, 1, 1)}
     assert m.regular_character(r)
     assert not m.regular_character((1, 0, 0))   # fixed by Frobenius
-    assert m.in_base_field((1, 0, 0))
-    assert not m.in_base_field(r)
 
 
 @pytest.mark.parametrize("q,l", SWEEP)
@@ -275,5 +292,8 @@ def test_filter_input_validation():
 def test_prime_power_factoring():
     assert factor_prime_power(8) == (2, 3)
     assert factor_prime_power(9) == (3, 2)
-    assert factor_prime_power(6) is None
-    assert factor_prime_power(1) is None
+    for bad in (1, 6, 12):
+        assert factor_prime_power(bad) is None
+    for q in (2, 3, 4, 5, 8, 9):
+        p, e = factor_prime_power(q)
+        assert p ** e == q

@@ -179,6 +179,8 @@ def test_config_file(tmp_path, capsys):
     ("gamma", "--type", "A1", "--P", "", "--H", "1/0", "--X", "1"),
     ("gamma", "--type", "A2", "--P", "5", "--H", "1,1", "--X", "1,1"),
     ("qpsum", "--type", "A2", "--P", "5", "--X", "1,1", "--q", "2"),
+    ("filtercheck", "--group", "SL2", "--q", "6",
+     "--theta-lambda", "1", "--theta-mu", "2"),
 ])
 def test_invalid_configuration_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -201,6 +203,16 @@ def test_malformed_batch_row_exits_2(tmp_path, capsys, command, row):
                            "--batch", str(batch), *extra)
     assert code == 2
     assert f"{batch}:2:" in err
+
+
+@pytest.mark.parametrize("command", ["gamma", "qpsum"])
+def test_missing_batch_file_exits_2(tmp_path, capsys, command):
+    missing = tmp_path / "missing.csv"
+    extra = ("--q", "3") if command == "qpsum" else ()
+    code, out, err = run_cli(capsys, command, "--type", "A1", "--P", "",
+                             "--batch", str(missing), *extra)
+    assert code == 2 and out == ""
+    assert "--batch" in err and str(missing) in err
 
 
 def test_config_file_validation(tmp_path, capsys):

@@ -5,20 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from trunca.linalg import dot, matvec
+from trunca.linalg import dot, matvec, rank, vsub
 from trunca.parabolic import (
     SemiStandardParabolic,
-    delta_PQ,
     enumerate_semistandard,
     enumerate_standard,
-    hat_delta_PQ,
-    project_aP,
     projector_to_aP,
     relative_weight,
     semistandard_contains,
     xi_general_position,
 )
 from trunca.rootdata import build_root_datum
+from trunca.truncation import TruncationContext
 
 
 def subsets(n):
@@ -62,32 +60,30 @@ def test_projector_properties(kind):
             img = matvec(proj, v)
             for i in subset:
                 assert dot(datum.simple_roots[i], img) == 0
-
-
-def test_project_aP_is_a_direct_sum_split():
-    datum = build_root_datum("B2")
-    v = (Fraction(3, 7), Fraction(-2))
-    for subset in subsets(2):
-        v_bp, v_p = project_aP(datum, v, subset)
-        assert tuple(a + b for a, b in zip(v_bp, v_p)) == v
-        for i in subset:
-            assert dot(datum.simple_roots[i], v_p) == 0
+        # the kernel part v - Pv lies in the span of the subset's coroots,
+        # so a_B = a_B^P + a_P is a direct-sum split
+        coroots = [datum.simple_coroots[i] for i in subset]
+        odd = (Fraction(3, 7),) + (Fraction(-2),) * (datum.dim - 1)
+        for v in datum.fundamental_coweights + (odd,):
+            assert rank(coroots + [vsub(v, matvec(proj, v))]) == len(subset)
 
 
 @pytest.mark.parametrize("kind", ["A2", "B2", "A3"])
 def test_relative_weights_are_dual_to_projected_coroots(kind):
     datum = build_root_datum(kind)
+    ctx = TruncationContext(datum)
     for q in subsets(datum.rank_ss):
         for p in subsets(datum.rank_ss):
             if not set(p) <= set(q):
                 continue
             between = sorted(set(q) - set(p))
-            roots = delta_PQ(datum, p, q)
-            weights = hat_delta_PQ(datum, p, q)
+            roots = ctx.delta(p, q)
+            weights = ctx.hat_delta(p, q)
+            assert [j for j, _ in roots] == between == [j for j, _ in weights]
             # <hat_delta_i, proj_P alpha_j^vee> = delta_ij on Q - P
             proj = projector_to_aP(datum, p)
-            for a, wt in zip(between, weights):
-                for b, _ in zip(between, roots):
+            for a, wt in weights:
+                for b, _ in roots:
                     got = dot(wt, matvec(proj, datum.simple_coroots[b]))
                     assert got == (1 if a == b else 0)
                 # relative weights vanish on a_Q: on projected coweights
@@ -138,8 +134,8 @@ def test_xi_general_position():
 
 
 def test_delta_pq_requires_containment():
-    datum = build_root_datum("A2")
-    with pytest.raises(ValueError):
-        delta_PQ(datum, (0,), (1,))
-    with pytest.raises(ValueError):
-        hat_delta_PQ(datum, (1,), ())
+    ctx = TruncationContext(build_root_datum("A2"))
+    with pytest.raises(ValueError, match="not contained"):
+        ctx.delta((0,), (1,))
+    with pytest.raises(ValueError, match="not contained"):
+        ctx.hat_delta((1,), ())

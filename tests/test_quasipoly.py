@@ -4,7 +4,7 @@ The rank-one oracle is literal counting: over the lattice d*Z (+ shift) the
 sum of [h > 0] - [h > x] is the number of lattice points in (0, x] minus the
 number in (x, 0], which a ten-line loop computes with no cone machinery at
 all.  Higher-rank checks play the evaluation routes against each other and
-against hand-picked structural facts (q-independence, multiplicativity).
+against hand-picked structural facts (multiplicity, sums on walls).
 """
 
 import itertools
@@ -17,7 +17,6 @@ from trunca.quasipoly import (
     LatticeSpec,
     brute_sum,
     fit_quasipolynomial,
-    is_prime_power,
     product_eval,
     standard_lattice_spec,
 )
@@ -44,8 +43,7 @@ def test_coroot_lattice_sum_matches_counting():
     for x in range(-7, 9):
         expect = _count_interval(2, 0, x)
         assert brute_sum(spec, (x,), certify=True) == expect
-        for q in (2, 3):
-            assert product_eval(spec, (x,), q) == expect
+        assert product_eval(spec, (x,)) == expect
 
 
 def test_shifted_lattice_and_multiplicity():
@@ -53,7 +51,7 @@ def test_shifted_lattice_and_multiplicity():
     for x in range(-5, 7):
         expect = Fraction(3, 2) * _count_interval(2, 1, x)
         assert brute_sum(spec, (x,)) == expect
-        assert product_eval(spec, (x,), 5) == expect
+        assert product_eval(spec, (x,)) == expect
 
 
 def test_index_two_sublattice():
@@ -63,7 +61,7 @@ def test_index_two_sublattice():
     for x in range(-6, 10):
         expect = _count_interval(4, 0, x)
         assert brute_sum(spec, (x,)) == expect
-        assert product_eval(spec, (x,), 3) == expect
+        assert product_eval(spec, (x,)) == expect
 
 
 def test_brute_sum_accepts_off_lattice_parameters():
@@ -71,7 +69,7 @@ def test_brute_sum_accepts_off_lattice_parameters():
     x = Fraction(7, 2)
     assert brute_sum(spec, (x,)) == _count_interval(2, 0, x)
     with pytest.raises(LatticeError, match="parameter lattice"):
-        product_eval(spec, (x,), 2)
+        product_eval(spec, (x,))
 
 
 # -- higher rank: route against route -------------------------------------------
@@ -79,14 +77,12 @@ def test_brute_sum_accepts_off_lattice_parameters():
 
 @pytest.mark.parametrize("kind,subset", [("A2", ()), ("A2", (0,)),
                                          ("B2", ()), ("B2", (1,))])
-def test_routes_agree_and_q_is_irrelevant(kind, subset):
+def test_routes_agree(kind, subset):
     datum = build_root_datum(kind)
     spec = standard_lattice_spec(datum, subset)
     for coords in [(3, 2), (0, 0), (-2, 5), (4, -3)]:
         x = spec.x_point(coords)
-        reference = brute_sum(spec, x, certify=True)
-        values = {product_eval(spec, x, q) for q in (2, 3, 4, 5)}
-        assert values == {reference}
+        assert product_eval(spec, x) == brute_sum(spec, x, certify=True)
 
 
 @pytest.mark.parametrize("kind,subset,coords,expect", [
@@ -102,7 +98,7 @@ def test_support_on_walls_is_summed(kind, subset, coords, expect):
     datum = build_root_datum(kind)
     spec = standard_lattice_spec(datum, subset)
     x = spec.x_point(coords)
-    assert brute_sum(spec, x) == product_eval(spec, x, 2) == expect
+    assert brute_sum(spec, x) == product_eval(spec, x) == expect
 
 
 def test_zero_parameter_sums_to_zero():
@@ -111,7 +107,7 @@ def test_zero_parameter_sums_to_zero():
         spec = standard_lattice_spec(datum, subset)
         zero = (0,) * datum.dim
         assert brute_sum(spec, zero) == 0
-        assert product_eval(spec, zero, 2) == 0
+        assert product_eval(spec, zero) == 0
 
 
 def test_full_subset_is_a_point_evaluation():
@@ -119,19 +115,10 @@ def test_full_subset_is_a_point_evaluation():
     spec = standard_lattice_spec(datum, (0, 1))
     # rank zero: the sum is gamma at the base point, which is constant 1
     assert brute_sum(spec, (5, 5)) == 1
-    assert product_eval(spec, spec.x_point((5, 5)), 2) == 1
+    assert product_eval(spec, spec.x_point((5, 5))) == 1
 
 
 # -- input validation -------------------------------------------------------------
-
-
-def test_prime_power_gate():
-    spec = standard_lattice_spec(A1, ())
-    for bad in (1, 6, 12):
-        assert not is_prime_power(bad)
-        with pytest.raises(ValueError, match="prime power"):
-            product_eval(spec, (4,), bad)
-    assert all(is_prime_power(q) for q in (2, 3, 4, 5, 8, 9))
 
 
 def test_declared_denominator_is_verified():

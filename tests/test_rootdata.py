@@ -9,10 +9,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trunca.errors import CartanMatrixError, FoldingError
-from trunca.linalg import dot
-from trunca.rootdata import build_root_datum, fold, levi_datum
+from trunca.linalg import dot, matvec
+from trunca.rootdata import build_root_datum, fold
 
 # (type, positive roots, Weyl order) from the classical closed forms:
 # n(n+1)/2 for A_n, n^2 for B/C_n, n(n-1) for D_n, 6 for G2.
@@ -87,6 +89,33 @@ def test_central_coordinates_are_inert():
         assert root.cov[1:] == (0, 0)
 
 
+_PRODUCT_GROUPS = {kind: build_root_datum(kind).weyl
+                   for kind in ("A2", "B2", "G2", "A3", "C3")}
+
+
+@st.composite
+def _element_pairs(draw):
+    weyl = _PRODUCT_GROUPS[draw(st.sampled_from(sorted(_PRODUCT_GROUPS)))]
+    a = weyl.elements[draw(st.integers(0, weyl.order - 1))]
+    b = weyl.elements[draw(st.integers(0, weyl.order - 1))]
+    return weyl, a, b
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_element_pairs())
+def test_weyl_products_are_matrix_products(pair):
+    weyl, a, b = pair
+    ab = weyl.mult(a, b)
+    dim = len(a.matrix)
+    # the integer matrix product, written out
+    want = tuple(tuple(sum(a.matrix[i][k] * b.matrix[k][j] for k in range(dim))
+                       for j in range(dim)) for i in range(dim))
+    assert ab.matrix == want
+    assert all(ab.root_perm[i] == a.root_perm[b.root_perm[i]]
+               for i in range(len(ab.root_perm)))
+    assert weyl.mult(a, weyl.inv(a)) is weyl.identity
+
+
 @pytest.mark.parametrize("bad", ["E9", "Q2", "A0", [[2, -1], [0, 2]]])
 def test_bad_cartan_input(bad):
     with pytest.raises(CartanMatrixError):
@@ -129,7 +158,7 @@ def test_fold_identity_permutation_is_identity():
 def test_fold_projection_embeds_back():
     f = fold(build_root_datum("A3"), (2, 1, 0))
     for v_small in itertools.product((-2, 0, 1), repeat=2):
-        v = f.embed_vector(v_small)
+        v = matvec(f.embed, v_small)
         assert f.sigma_vector(v) == v
         assert f.project_vector(v) == tuple(map(Fraction, v_small))
 
@@ -143,9 +172,3 @@ def test_fold_rejects_bad_permutations():
     with pytest.raises(FoldingError):
         fold(datum, (2, 1, 0), order=3)  # wrong declared order
 
-
-def test_levi_datum_of_subset():
-    datum = build_root_datum("A3")
-    levi = levi_datum(datum, (0, 2))
-    assert levi.datum.rank_ss == 2
-    assert [list(map(int, r)) for r in levi.datum.cartan] == [[2, 0], [0, 2]]
