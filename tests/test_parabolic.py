@@ -60,12 +60,22 @@ def test_projector_properties(kind):
             img = matvec(proj, v)
             for i in subset:
                 assert dot(datum.simple_roots[i], img) == 0
-        # the kernel part v - Pv lies in the span of the subset's coroots,
-        # so a_B = a_B^P + a_P is a direct-sum split
-        coroots = [datum.simple_coroots[i] for i in subset]
+
+
+def test_project_aP_is_a_direct_sum_split():
+    # v = (v - Pv) + Pv with v - Pv in the span of the subset's coroots and
+    # Pv killed by its roots: a_B = a_B^P + a_P is a direct-sum split
+    for kind in ("A2", "B2", "G2", "A3"):
+        datum = build_root_datum(kind)
         odd = (Fraction(3, 7),) + (Fraction(-2),) * (datum.dim - 1)
-        for v in datum.fundamental_coweights + (odd,):
-            assert rank(coroots + [vsub(v, matvec(proj, v))]) == len(subset)
+        for subset in subsets(datum.rank_ss):
+            proj = projector_to_aP(datum, subset)
+            coroots = [datum.simple_coroots[i] for i in subset]
+            for v in datum.fundamental_coweights + (odd,):
+                v_p = matvec(proj, v)
+                assert rank(coroots + [vsub(v, v_p)]) == len(subset)
+                for i in subset:
+                    assert dot(datum.simple_roots[i], v_p) == 0
 
 
 @pytest.mark.parametrize("kind", ["A2", "B2", "A3"])

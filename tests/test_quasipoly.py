@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import pytest
 
+from trunca.charfield import factor_prime_power
+from trunca.cli import main
 from trunca.errors import ConsistencyError, LatticeError
 from trunca.quasipoly import (
     LatticeSpec,
@@ -119,6 +121,23 @@ def test_full_subset_is_a_point_evaluation():
 
 
 # -- input validation -------------------------------------------------------------
+
+
+def test_prime_power_gate(capsys):
+    # product_eval takes no q; the gate lives on the qpsum command's --q,
+    # which must be a prime power and does not change the result
+    argv = ["qpsum", "--type", "A1", "--P", "", "--X", "4", "--q"]
+    for bad in (1, 6, 12):
+        assert factor_prime_power(bad) is None
+        assert main(argv + [str(bad)]) == 2
+        assert "prime power" in capsys.readouterr().err
+    outputs = set()
+    for q in (2, 3, 4, 5, 8, 9):
+        p, e = factor_prime_power(q)
+        assert p ** e == q
+        assert main(argv + [str(q)]) == 0
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
 
 
 def test_declared_denominator_is_verified():
