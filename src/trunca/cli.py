@@ -370,6 +370,8 @@ def cmd_filtercheck(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
+    if config.samples is not None and config.samples < 0:
+        raise ConfigError(f"--samples must be >= 0, got {config.samples}")
     if config.suite != "all" and config.suite not in SUITES:
         raise ConfigError(f"unknown suite {config.suite!r}; choose from "
                           f"{', '.join(sorted(SUITES))} or all")

@@ -8,10 +8,10 @@ the facets of maximal degree there is a unique largest one — the canonical
 refinement.  An alternating sum over all facets recovers the indicator of
 the semistable (refinement = full group) case.
 
-All hot paths run off two layers of caching: per-datum tables (minimal coset
-representatives, root-sum covectors, candidate facet lists) shared by every
-polyhedron over that datum, and per-polyhedron transported vertices
-``s(X_s)`` computed once.
+All hot paths run off three layers of caching: the Weyl group's coset
+tables (``WeylGroup.min_reps``), per-datum tables (root-sum covectors and
+candidate facet lists) shared by every polyhedron over that datum, and
+per-polyhedron transported vertices ``s(X_s)`` computed once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import combinations
 
 from .errors import ConsistencyError
 from .linalg import dot, frac, vadd, vsub, zero_vec
-from .parabolic import SemiStandardParabolic, enumerate_standard
+from .parabolic import SemiStandardParabolic, enumerate_standard, semistandard_contains
 from .rootdata import Folding, RootDatum, WeylElement
 from .truncation import TruncationContext
 
@@ -206,18 +206,8 @@ class _DatumTables:
     def __init__(self, datum: RootDatum):
         self.datum = datum
         self.ctx = TruncationContext(datum)
-        self._minrep = {}
         self._root_sum = {}
         self._candidates = {}
-
-    def minrep(self, subset):
-        """Element index -> index of its minimal W_subset-coset representative."""
-        subset = tuple(sorted(subset))
-        if subset not in self._minrep:
-            weyl = self.datum.weyl
-            self._minrep[subset] = tuple(
-                weyl.min_rep(w, subset).index for w in weyl.elements)
-        return self._minrep[subset]
 
     def root_sum(self, i_subset, q_subset):
         """Covector: sum of reduced positive roots supported in Q but not in I."""
@@ -233,8 +223,8 @@ class _DatumTables:
         return self._root_sum[key]
 
     def candidates(self, q_subset):
-        """All semi-standard (subset, rep) contained in the standard parabolic
-        of q_subset: subset inside it, rep in its Weyl subgroup."""
+        """All semi-standard facets contained in the standard parabolic of
+        q_subset: subset inside it, rep in its Weyl subgroup."""
         q_subset = tuple(sorted(q_subset))
         if q_subset not in self._candidates:
             weyl = self.datum.weyl
@@ -244,14 +234,9 @@ class _DatumTables:
                 for subset in combinations(q_subset, size):
                     for w in sub_elems:
                         if weyl.is_min_rep(w, subset):
-                            out.append((subset, w))
+                            out.append(SemiStandardParabolic(subset, w))
             self._candidates[q_subset] = tuple(out)
         return self._candidates[q_subset]
-
-    def contains(self, outer_subset, outer_rep, inner_subset, inner_rep) -> bool:
-        if not set(inner_subset) <= set(outer_subset):
-            return False
-        return self.minrep(outer_subset)[inner_rep.index] == outer_rep.index
 
 
 def _tables(datum: RootDatum) -> _DatumTables:
@@ -332,11 +317,11 @@ def is_semistable(cp: ComplementaryPolyhedron, facet: SemiStandardParabolic,
     weyl = datum.weyl
     trans = cp.transported()
     p_subset = tuple(sorted(facet.subset))
-    coset = [v for v in weyl.elements
-             if tab.minrep(p_subset)[v.index] == facet.rep.index]
+    minrep_p = weyl.min_reps(p_subset)
+    coset = [v for v in weyl.elements if minrep_p[v.index] == facet.rep.index]
     for size in range(len(p_subset)):
         for r_subset in combinations(p_subset, size):
-            minrep_r = tab.minrep(r_subset)
+            minrep_r = weyl.min_reps(r_subset)
             seen = set()
             for v in coset:
                 delta_idx = minrep_r[v.index]
@@ -377,31 +362,29 @@ def canonical_refinement(cp: ComplementaryPolyhedron, q_subset=None,
 
     best = None
     best_set = []
-    for subset, w in tab.candidates(q_subset):
-        val = dot(tab.root_sum(subset, q_subset), trans[w.index])
+    for cand in tab.candidates(q_subset):
+        val = dot(tab.root_sum(cand.subset, q_subset), trans[cand.rep.index])
         if best is None or val > best:
             best = val
-            best_set = [(subset, w)]
+            best_set = [cand]
         elif val == best:
-            best_set.append((subset, w))
+            best_set.append(cand)
 
     largest = [cand for cand in best_set
-               if all(tab.contains(cand[0], cand[1], o[0], o[1])
-                      for o in best_set)]
+               if all(semistandard_contains(datum, cand, o) for o in best_set)]
     if len(largest) != 1:
         raise ConsistencyError(
             f"maximal-degree facets have {len(largest)} largest elements "
             f"(expected exactly one): {best_set}")
-    subset, w = largest[0]
-    facet = SemiStandardParabolic(subset, w)
+    facet = largest[0]
 
     if cross_check:
         if not is_semistable(cp, facet, q_subset):
             raise ConsistencyError(f"refinement {facet} is not semistable")
-        point = trans[w.index]
+        point = trans[facet.rep.index]
         for j in q_subset:
-            if j not in subset:
-                if dot(tab.ctx.proj_covector(subset, j), point) <= 0:
+            if j not in facet.subset:
+                if dot(tab.ctx.proj_covector(facet.subset, j), point) <= 0:
                     raise ConsistencyError(
                         f"refinement {facet} fails strict positivity at "
                         f"relative root {j}")
@@ -419,12 +402,11 @@ def semistability_indicator(cp: ComplementaryPolyhedron) -> int:
     n = datum.rank_ss
     full = _full(datum)
     total = 0
-    for subset, w in tab.candidates(full):
-        sign = (-1) ** (n - len(subset))
-        point = trans[w.index]
+    for cand in tab.candidates(full):
+        point = trans[cand.rep.index]
         if all(dot(tab.ctx.rel_weight(full, j), point) > 0
-               for j in range(n) if j not in subset):
-            total += sign
+               for j in range(n) if j not in cand.subset):
+            total += (-1) ** (n - len(cand.subset))
     ref = canonical_refinement(cp, full)
     expected = 1 if (ref.subset == full and ref.rep.length == 0) else 0
     if total != expected:

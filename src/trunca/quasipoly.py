@@ -33,7 +33,6 @@ from fractions import Fraction
 from .cyclotomic import CyclotomicNumber
 from .errors import ConsistencyError, LatticeError
 from .linalg import (
-    Mat,
     Vec,
     dot,
     enumerate_box,

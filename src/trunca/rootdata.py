@@ -10,8 +10,13 @@ which has pleasant consequences used throughout the package:
 
 * the i-th simple root is the i-th coordinate functional,
 * the j-th simple coroot is the j-th column of the Cartan matrix,
-* simple reflections act by integer matrices, so every Weyl element is an
+* simple reflections act by integer matrices, so every Weyl element has an
   integer matrix and sign tests in hot loops run on machine ints.
+
+A Weyl element is keyed by its permutation of the roots: products,
+inverses and minimal coset representatives (``WeylGroup.min_reps``, one
+table per subset, kept on the group) are lookups on permutations; the
+matrix serves the action on vectors and the restriction of a folding.
 
 The Cartan convention is ``cartan[i][j] = <alpha_i, alpha_j_coroot>``.
 
@@ -42,17 +47,16 @@ from .linalg import (
     basis_vec,
     dot,
     frac,
-    identity_matrix,
     int_matrix,
     is_positive_definite,
     mat_inverse,
     matmul,
     matvec,
     vec,
-    vecmat,
 )
 
 _TYPE_RE = re.compile(r"^([A-G])(\d+)$")
+_MAX_WEYL_ORDER = 1_000_000
 
 
 def _chain(n, a=-1, b=-1):
@@ -87,6 +91,9 @@ def _cartan_rows(letter: str, n: int):
         rows[n - 2][n - 1] = 0
         rows[n - 1][n - 2] = 0
         return rows
+    if letter == "F" and n == 4:
+        # Bourbaki plate VIII: alpha_1, alpha_2 long, alpha_3, alpha_4 short
+        return [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
     if letter == "G" and n == 2:
         return [[2, -1], [-3, 2]]
     raise CartanMatrixError(f"unsupported Cartan type {letter}{n}; "
@@ -192,6 +199,12 @@ class Root:
     reduced: bool
 
 
+def _reflect(cartan, coords, j):
+    """Simple-root coordinates of s_j(beta) = beta - <beta, alpha_j^vee> alpha_j."""
+    pair = sum(c * cartan[i][j] for i, c in enumerate(coords))
+    return coords[:j] + (coords[j] - pair,) + coords[j + 1:]
+
+
 def _close_roots(cartan):
     """Simultaneous reflection closure on (root, coroot) pairs.
 
@@ -210,9 +223,7 @@ def _close_roots(cartan):
         coords = pend.pop()
         coroot = seen[coords]
         for j in range(n):
-            pair = sum(coords[i] * cartan[i][j] for i in range(n))
-            new_coords = tuple(
-                c - (pair if k == j else 0) for k, c in enumerate(coords))
+            new_coords = _reflect(cartan, coords, j)
             if new_coords not in seen:
                 new_coroot = tuple(
                     cv - coroot[j] * columns[j][k] for k, cv in enumerate(coroot))
@@ -334,21 +345,23 @@ def pairing(cov: Vec, v: Vec) -> Fraction:
 
 
 class WeylElement:
-    """A Weyl group element: integer matrix plus its reduced word of record.
+    """A Weyl group element: root permutation, integer matrix and the reduced
+    word of record.
 
-    The stored word is the lexicographically smallest reduced word.  Equality
-    and hashing go through the matrix, so elements from the same datum are
-    safe dictionary keys.
+    ``root_perm[k]`` is the index of ``w(roots[k])``; it determines the
+    element, so equality and hashing go through it and elements from the
+    same datum are safe dictionary keys.  The stored word is the
+    lexicographically smallest reduced word, and ``matrix`` is the action on
+    vectors of ``a_B``.
     """
 
-    __slots__ = ("index", "word", "matrix", "inv_matrix", "root_perm")
+    __slots__ = ("index", "word", "root_perm", "matrix")
 
-    def __init__(self, index, word, matrix, inv_matrix):
+    def __init__(self, index, word, root_perm, matrix):
         self.index = index
         self.word = word
+        self.root_perm = root_perm
         self.matrix = matrix
-        self.inv_matrix = inv_matrix
-        self.root_perm = None  # filled in by the group constructor
 
     @property
     def length(self) -> int:
@@ -357,33 +370,41 @@ class WeylElement:
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self.matrix == other.matrix
+        return self.root_perm == other.root_perm
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash(self.root_perm)
 
     def __repr__(self):
         return f"WeylElement(word={''.join(str(i + 1) for i in self.word) or 'e'})"
 
 
 class WeylGroup:
-    """The full Weyl group of a datum, as integer matrices with lookup tables."""
+    """The full Weyl group of a datum, keyed by root permutations.
 
-    def __init__(self, datum: RootDatum, elements, by_key):
+    Products and inverses are table lookups on permutations; the coset
+    tables of :meth:`min_reps` are built on first use and kept here.
+    """
+
+    def __init__(self, datum: RootDatum, elements):
         self.datum = datum
         self.elements = elements
-        self.by_key = by_key
+        self.by_perm = {w.root_perm: w for w in elements}
         self.order = len(elements)
         self.identity = elements[0]
-        n = datum.rank_ss
-        self.simple = tuple(self.by_key[_simple_matrix(datum, i)] for i in range(n))
-        self._subgroups = {}
+        self.simple = tuple(w for w in elements if w.length == 1)
+        # w^{-1} permutes the roots by the inverse permutation
+        self._inverse = tuple(
+            self.by_perm[tuple(sorted(range(len(w.root_perm)),
+                                      key=w.root_perm.__getitem__))]
+            for w in elements)
+        self._min_reps = {}
 
     def mult(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return self.by_key[int_matrix(matmul(a.matrix, b.matrix))]
+        return self.by_perm[tuple(a.root_perm[k] for k in b.root_perm)]
 
     def inv(self, a: WeylElement) -> WeylElement:
-        return self.by_key[a.inv_matrix]
+        return self._inverse[a.index]
 
     def act(self, w: WeylElement, v):
         """w applied to a vector of a_B."""
@@ -396,107 +417,96 @@ class WeylGroup:
 
     # -- coset machinery ---------------------------------------------------
 
+    def min_reps(self, subset):
+        """Element index -> index of the minimal-length element of its coset
+        W_subset * w.
+
+        Elements come in order of length, so one pass suffices: w is minimal
+        iff w^{-1}(alpha_i) > 0 for every i in subset, and otherwise shares
+        its coset minimum with the shorter s_i * w.
+        """
+        key = tuple(sorted(set(subset)))
+        table = self._min_reps.get(key)
+        if table is None:
+            n_pos = self.datum.n_positive
+            positions = [(i, self.datum.simple_root_positions[i]) for i in key]
+            table = []
+            for w in self.elements:
+                winv = self._inverse[w.index].root_perm
+                i = next((i for i, pos in positions if winv[pos] >= n_pos), None)
+                table.append(w.index if i is None
+                             else table[self.mult(self.simple[i], w).index])
+            table = self._min_reps[key] = tuple(table)
+        return table
+
     def is_min_rep(self, w: WeylElement, subset) -> bool:
-        """Is w the minimal-length element of W_subset * w?  Equivalent to
-        w^{-1}(alpha_i) > 0 for every i in subset."""
-        winv = self.inv(w)
-        for i in subset:
-            pos = self.datum.simple_root_positions[i]
-            if winv.root_perm[pos] >= self.datum.n_positive:
-                return False
-        return True
+        """Is w the minimal-length element of W_subset * w?"""
+        return self.min_reps(subset)[w.index] == w.index
 
     def min_rep(self, w: WeylElement, subset) -> WeylElement:
         """The unique minimal-length element of the coset W_subset * w."""
-        subset = sorted(subset)
-        while True:
-            winv = self.inv(w)
-            for i in subset:
-                pos = self.datum.simple_root_positions[i]
-                if winv.root_perm[pos] >= self.datum.n_positive:
-                    w = self.mult(self.simple[i], w)
-                    break
-            else:
-                return w
+        return self.elements[self.min_reps(subset)[w.index]]
 
     def coset_min_reps(self, subset):
         """Minimal-length representatives of W_subset \\ W, in element order."""
-        return tuple(w for w in self.elements if self.is_min_rep(w, subset))
+        table = self.min_reps(subset)
+        return tuple(w for w in self.elements if table[w.index] == w.index)
 
     def subgroup(self, subset):
-        """Elements of the standard parabolic subgroup W_subset."""
-        key = frozenset(subset)
-        if key not in self._subgroups:
-            members = {self.identity.index}
-            queue = [self.identity]
-            while queue:
-                w = queue.pop()
-                for i in key:
-                    nxt = self.mult(w, self.simple[i])
-                    if nxt.index not in members:
-                        members.add(nxt.index)
-                        queue.append(nxt)
-            self._subgroups[key] = tuple(
-                self.elements[i] for i in sorted(members))
-        return self._subgroups[key]
+        """Elements of the standard parabolic subgroup W_subset: those whose
+        reduced word uses only letters from the subset."""
+        letters = set(subset)
+        return tuple(w for w in self.elements if letters.issuperset(w.word))
 
 
-def _simple_matrix(datum: RootDatum, i: int):
-    """Matrix of s_i: v -> v - <alpha_i, v> alpha_i^vee (integer entries)."""
-    dim = datum.dim
-    coroot = datum.simple_coroots[i]
-    rows = []
-    for r in range(dim):
-        row = [1 if r == c else 0 for c in range(dim)]
-        row[i] -= coroot[r]
-        rows.append(tuple(row))
-    return tuple(rows)
+def _simple_perms(datum: RootDatum):
+    """Root permutation of each simple reflection, read off the Cartan
+    matrix."""
+    return [tuple(datum.root_index[_reflect(datum.cartan, r.coords, i)]
+                  for r in datum.roots) for i in range(datum.rank_ss)]
 
 
-def generate_weyl(datum: RootDatum, max_order: int = 1_000_000) -> WeylGroup:
-    """Generate the full Weyl group by breadth-first closure.
+def generate_weyl(datum: RootDatum) -> WeylGroup:
+    """Generate the full Weyl group by breadth-first closure on root
+    permutations.
 
-    The BFS visits children in ascending generator order, so the recorded
-    word of each element is its lexicographically smallest reduced word.
-    The number of inversions is checked against the word length for every
+    The BFS visits children ``w * s_i`` in ascending generator order, so the
+    recorded word of each element is its lexicographically smallest reduced
+    word and elements come in order of length.  Each element's integer
+    matrix is built once, from its parent's by updating column i.  The
+    number of inversions is checked against the word length for every
     element (a cheap full-group sanity pass).
     """
-    n = datum.rank_ss
-    gens = [_simple_matrix(datum, i) for i in range(n)]
-    ident = tuple(tuple(int(x) for x in row) for row in identity_matrix(datum.dim))
-    first = WeylElement(0, (), ident, ident)
+    gens = _simple_perms(datum)
+    coroots = datum.simple_coroots
+    dim = datum.dim
+    ident = tuple(tuple(1 if r == c else 0 for c in range(dim)) for r in range(dim))
+    first = WeylElement(0, (), tuple(range(len(datum.roots))), ident)
     elements = [first]
-    by_key = {ident: first}
+    seen = {first.root_perm}
     frontier = [first]
     while frontier:
         new_frontier = []
         for elt in frontier:
-            for i in range(n):
-                mat = int_matrix(matmul(elt.matrix, gens[i]))
-                if mat not in by_key:
-                    inv = int_matrix(matmul(gens[i], elt.inv_matrix))
-                    child = WeylElement(len(elements), elt.word + (i,), mat, inv)
-                    elements.append(child)
-                    by_key[mat] = child
-                    new_frontier.append(child)
-                    if len(elements) > max_order:
-                        raise CartanMatrixError("Weyl group too large; gave up")
+            for i, gen in enumerate(gens):
+                perm = tuple(elt.root_perm[k] for k in gen)
+                if perm in seen:
+                    continue
+                # w * s_i changes only column i: v -> v - <alpha_i, v> alpha_i^vee
+                mat = tuple(row[:i] + (row[i] - sum(a * b for a, b in
+                                                    zip(row, coroots[i])),)
+                            + row[i + 1:] for row in elt.matrix)
+                child = WeylElement(len(elements), elt.word + (i,), perm, mat)
+                elements.append(child)
+                seen.add(perm)
+                new_frontier.append(child)
+                if len(elements) > _MAX_WEYL_ORDER:
+                    raise CartanMatrixError("Weyl group too large; gave up")
         frontier = new_frontier
 
-    # root permutation tables: w(beta) = beta o w^{-1}
+    group = WeylGroup(datum, tuple(elements))
     for elt in elements:
-        perm = []
-        for r in datum.roots:
-            img = vecmat(r.cov, elt.inv_matrix)
-            key = tuple(int(x) for x in img[:n])
-            perm.append(datum.root_index[key])
-        elt.root_perm = tuple(perm)
-
-    group = WeylGroup(datum, tuple(elements), by_key)
-    n_pos = datum.n_positive
-    for elt in elements:
-        invs = sum(1 for k in range(n_pos)
-                   if datum.roots[k].reduced and elt.root_perm[k] >= n_pos)
+        invs = group.inversions(elt)
         if invs != elt.length:
             raise ConsistencyError(
                 f"word length {elt.length} != inversion count {invs} for {elt!r}")
@@ -568,6 +578,7 @@ class Folding:
         """
         bigw = self.big.weyl
         smallw = self.small.weyl
+        by_matrix = {w.matrix: w for w in smallw.elements}
         sig = int_matrix(self.sigma_matrix)
         sig_inv = int_matrix(mat_inverse(self.sigma_matrix))
         match = {}
@@ -581,10 +592,10 @@ class Folding:
             except ValueError as exc:
                 raise ConsistencyError(
                     "sigma-fixed element restricts non-integrally") from exc
-            if key not in smallw.by_key:
+            small = by_matrix.get(key)
+            if small is None:
                 raise ConsistencyError("sigma-fixed element does not restrict "
                                        "to a folded Weyl element")
-            small = smallw.by_key[key]
             if small.index in match:
                 raise ConsistencyError("restriction of the sigma-centralizer "
                                        "is not injective")

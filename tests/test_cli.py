@@ -181,6 +181,7 @@ def test_config_file(tmp_path, capsys):
     ("qpsum", "--type", "A2", "--P", "5", "--X", "1,1", "--q", "2"),
     ("filtercheck", "--group", "SL2", "--q", "6",
      "--theta-lambda", "1", "--theta-mu", "2"),
+    ("verify", "--suite", "refinement", "--samples", "-1"),
 ])
 def test_invalid_configuration_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -269,3 +269,36 @@ def test_projection_requires_matching_datum():
     other = _constant(build_root_datum("B2"), (Fraction(1), Fraction(1)))
     with pytest.raises(ValueError, match="big datum"):
         project_polyhedron(other, folding)
+
+
+# -- the indicator suite ------------------------------------------------------------
+
+
+def test_indicator_suite_refines_once_per_instance(monkeypatch):
+    from trunca import polyhedra, verify
+
+    calls = []
+
+    def counting(cp, *args, **kwargs):
+        calls.append(cp.datum.label)
+        return canonical_refinement(cp, *args, **kwargs)
+
+    # both names: the suite's own and the one semistability_indicator uses
+    monkeypatch.setattr(verify, "canonical_refinement", counting)
+    monkeypatch.setattr(polyhedra, "canonical_refinement", counting)
+    records = verify.suite_indicator(samples=3, types=("A1", "A2"))
+    assert all(r.ok for r in records)
+    assert calls == ["A1"] * 3 + ["A2"] * 3
+
+
+def test_indicator_suite_records_a_disagreement(monkeypatch):
+    from trunca import verify
+
+    def disagree(cp):
+        raise ConsistencyError("indicator 1 disagrees with refinement")
+
+    monkeypatch.setattr(verify, "semistability_indicator", disagree)
+    records = verify.suite_indicator(samples=2, types=("A2",))
+    assert [r.ok for r in records] == [False]
+    assert records[0].actual == ("0/2 exact; first failure: instance 0: "
+                                 "indicator 1 disagrees with refinement")

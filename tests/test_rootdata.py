@@ -17,7 +17,7 @@ from trunca.linalg import dot, matvec
 from trunca.rootdata import build_root_datum, fold
 
 # (type, positive roots, Weyl order) from the classical closed forms:
-# n(n+1)/2 for A_n, n^2 for B/C_n, n(n-1) for D_n, 6 for G2.
+# n(n+1)/2 for A_n, n^2 for B/C_n, n(n-1) for D_n, 6 for G2, 24 for F4.
 CLASSIC = [
     ("A1", 1, 2),
     ("A1xA1", 2, 4),
@@ -27,6 +27,7 @@ CLASSIC = [
     ("A3", 6, 24),
     ("C3", 9, 48),
     ("D4", 12, 192),
+    ("F4", 24, 1152),
 ]
 
 
@@ -114,6 +115,47 @@ def test_weyl_products_are_matrix_products(pair):
     assert all(ab.root_perm[i] == a.root_perm[b.root_perm[i]]
                for i in range(len(ab.root_perm)))
     assert weyl.mult(a, weyl.inv(a)) is weyl.identity
+
+
+@st.composite
+def _element_subsets(draw):
+    weyl = _PRODUCT_GROUPS[draw(st.sampled_from(sorted(_PRODUCT_GROUPS)))]
+    w = weyl.elements[draw(st.integers(0, weyl.order - 1))]
+    subset = draw(st.sets(st.integers(0, weyl.datum.rank_ss - 1)))
+    return weyl, w, tuple(sorted(subset))
+
+
+def _generated_subgroup(weyl, subset):
+    """W_I as the closure of {s_i : i in I} under mult."""
+    members = {weyl.identity}
+    queue = [weyl.identity]
+    while queue:
+        u = queue.pop()
+        for i in subset:
+            v = weyl.mult(u, weyl.simple[i])
+            if v not in members:
+                members.add(v)
+                queue.append(v)
+    return members
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_element_subsets())
+def test_coset_tables_match_the_definitions(case):
+    weyl, w, subset = case
+    w_i = _generated_subgroup(weyl, subset)
+    sub = weyl.subgroup(subset)
+    assert len(sub) == len(set(sub)) and set(sub) == w_i
+    # the coset minimum is the unique shortest element of W_I * w
+    coset = {weyl.mult(u, w) for u in w_i}
+    shortest = min(v.length for v in coset)
+    assert [v for v in coset if v.length == shortest] == [weyl.min_rep(w, subset)]
+    # w is minimal iff it has no left descent in I: w^{-1}(alpha_i) > 0
+    winv = weyl.inv(w).root_perm
+    no_descent = all(winv[weyl.datum.simple_root_positions[i]] < weyl.datum.n_positive
+                     for i in subset)
+    assert weyl.is_min_rep(w, subset) == no_descent
+    assert (w in weyl.coset_min_reps(subset)) == no_descent
 
 
 @pytest.mark.parametrize("bad", ["E9", "Q2", "A0", [[2, -1], [0, 2]]])
