@@ -3,8 +3,8 @@
 Elements are stored in the power basis 1, zeta, ..., zeta^(phi(M)-1) modulo
 the M-th cyclotomic polynomial, with Fraction coordinates.  That makes
 equality, rationality and integrality tests trivial, which is what the rest
-of the package needs: character sums and constant-term extractions must end
-up provably rational, not float-close to rational.
+of the package needs: character sums and fitted quasi-polynomial laws must
+end up provably rational, not float-close to rational.
 
 The field orders that actually occur here are small (M up to a few dozen),
 so the polynomial arithmetic is plain dense schoolbook.
@@ -34,12 +34,6 @@ def _trim(p):
     return p
 
 
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                  for i in range(n)])
-
-
 def _poly_mul(a, b):
     if not a or not b:
         return []
@@ -66,36 +60,6 @@ def _poly_divmod_monic(a, b):
         for i in range(db + 1):
             a[shift + i] -= c * b[i]
     return _trim(q), _trim(a)
-
-
-def _poly_divmod(a, b):
-    """General division over Q."""
-    b = _trim([Fraction(x) for x in b])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = b[-1]
-    monic = [x / lead for x in b]
-    q, r = _poly_divmod_monic([Fraction(x) for x in a], monic)
-    return [x / lead for x in q], r
-
-
-def _poly_ext_gcd(a, b):
-    """(g, u, v) with u*a + v*b = g over Q, g monic or zero."""
-    r0, r1 = [Fraction(x) for x in a], [Fraction(x) for x in b]
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-    while _trim(r1):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_add(u0, [-c for c in _poly_mul(q, u1)])
-        v0, v1 = v1, _poly_add(v0, [-c for c in _poly_mul(q, v1)])
-    g = _trim(r0)
-    if g:
-        lead = g[-1]
-        g = [x / lead for x in g]
-        u0 = [x / lead for x in u0]
-        v0 = [x / lead for x in v0]
-    return g, u0, v0
 
 
 @lru_cache(maxsize=None)
@@ -144,10 +108,6 @@ class CyclotomicNumber:
     @classmethod
     def zero(cls, order: int) -> "CyclotomicNumber":
         return cls(order, [])
-
-    @classmethod
-    def one(cls, order: int) -> "CyclotomicNumber":
-        return cls(order, [1])
 
     @classmethod
     def from_rational(cls, order: int, r) -> "CyclotomicNumber":
@@ -239,14 +199,6 @@ class CyclotomicNumber:
         return CyclotomicNumber(a.order, prod)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "CyclotomicNumber":
-        g, u, _v = _poly_ext_gcd(list(self.coeffs),
-                                 list(cyclotomic_polynomial(self.order)))
-        if len(g) != 1:
-            raise ZeroDivisionError("element is zero (or the ring is degenerate)")
-        inv = [x / g[0] for x in u]
-        return CyclotomicNumber(self.order, inv)
 
     # -- predicates ---------------------------------------------------------
 

@@ -12,21 +12,25 @@ played against each other:
 
 * ``brute_sum`` -- direct enumeration over a certified support box;
 * ``product_eval`` -- an exact generating-function calculation, where each
-  cone in the profile's signed decomposition contributes a product of
-  geometric series evaluated as a rational function and the removable
-  singularity at the unit is extracted by Laurent expansion;
+  cone in the profile's signed decomposition contributes the sum over its
+  fundamental parallelepiped divided by one geometric series per ray, and
+  the removable singularity at the unit is extracted by Laurent expansion
+  in rationals;
 * ``fit_quasipolynomial`` -- reconstruction of the law itself from sampled
-  values, with the admissible frequencies read off from the generating
-  function's character data.
+  values, with the admissible frequencies read off from the cones'
+  character data.
 
-All arithmetic is exact: rationals throughout, roots of unity as
+All arithmetic is exact: rationals throughout.  Only the fitted law's
+Fourier terms use roots of unity, as
 :class:`~trunca.cyclotomic.CyclotomicNumber`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,85 +74,67 @@ def _unit(exponent: Fraction) -> CyclotomicNumber:
 
 
 # ---------------------------------------------------------------------------
-# truncated Laurent series in eps = u - 1
+# truncated power series in eps = u - 1, over the rationals
 
 
-@dataclass(frozen=True)
-class _EpsSeries:
-    """A Laurent series known through ``eps**(lo + len(coeffs) - 1)``."""
-
-    lo: int
-    coeffs: tuple
+def _ser_mul(a, b) -> list:
+    """Product of two power series, truncated to the shorter length."""
+    n = min(len(a), len(b))
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
 
 
-def _ser_const(value, terms: int) -> _EpsSeries:
-    zero = CyclotomicNumber.zero(1)
-    one = CyclotomicNumber.from_rational(1, frac(value))
-    return _EpsSeries(0, (one,) + (zero,) * (terms - 1))
+def _falling_sums(counts, terms: int) -> list:
+    """Coefficients of sum_e counts[e] * u**e at u = 1 + eps, through eps**(terms-1).
 
-
-def _ser_mul(a: _EpsSeries, b: _EpsSeries) -> _EpsSeries:
-    n = min(len(a.coeffs), len(b.coeffs))
-    out = [CyclotomicNumber.zero(1) for _ in range(n)]
-    for i, ca in enumerate(a.coeffs):
-        if i >= n:
-            break
-        for j, cb in enumerate(b.coeffs):
-            if i + j >= n:
-                break
-            out[i + j] = out[i + j] + ca * cb
-    return _EpsSeries(a.lo + b.lo, tuple(out))
-
-
-def _ser_add(a: _EpsSeries, b: _EpsSeries) -> _EpsSeries:
-    lo = min(a.lo, b.lo)
-    valid_to = min(a.lo + len(a.coeffs), b.lo + len(b.coeffs))
-    out = [CyclotomicNumber.zero(1) for _ in range(valid_to - lo)]
-    for s in (a, b):
-        for i, c in enumerate(s.coeffs):
-            k = s.lo + i - lo
-            if k < len(out):
-                out[k] = out[k] + c
-    return _EpsSeries(lo, tuple(out))
-
-
-def _ser_scale(a: _EpsSeries, c) -> _EpsSeries:
-    return _EpsSeries(a.lo, tuple(x * c for x in a.coeffs))
-
-
-def _ser_inv(a: _EpsSeries) -> _EpsSeries:
-    """Reciprocal of a series whose leading coefficient is nonzero."""
-    lead = a.coeffs[0]
-    if lead.is_zero():
-        raise ConsistencyError("series inversion with vanishing leading term")
-    inv_lead = lead.inverse()
-    out = [inv_lead]
-    for k in range(1, len(a.coeffs)):
-        acc = CyclotomicNumber.zero(1)
-        for i in range(1, k + 1):
-            acc = acc + a.coeffs[i] * out[k - i]
-        out.append(-(acc * inv_lead))
-    return _EpsSeries(-a.lo, tuple(out))
-
-
-def _geometric_factor(zeta_exp: Fraction, k: int, lower: int, terms: int) -> _EpsSeries:
-    """The series of ``zeta^L u^(k L) / (1 - zeta u^k)`` at ``u = 1 + eps``.
-
-    ``zeta = exp(2 pi i zeta_exp)`` and ``L = lower``; this is the rational
-    form of the one-sided geometric sum ``sum_{c >= L} (zeta u^k)^c``.
+    The coefficient of eps**i is sum_e counts[e] * C(e, i); the falling
+    factorials stay integers and one exact division by i! ends each sum.
     """
-    if k == 0:
-        raise ConsistencyError("geometric factor requires a nonzero exponent")
-    zl = _unit(zeta_exp * lower)
-    numer = _EpsSeries(0, tuple(zl * _binomial(k * lower, i) for i in range(terms)))
-    if zeta_exp % 1 == 0:
-        denom = _EpsSeries(1, tuple(
-            CyclotomicNumber.from_rational(1, -_binomial(k, i + 1)) for i in range(terms)))
-    else:
-        z = _unit(zeta_exp)
-        first = CyclotomicNumber.one(z.order) - z
-        denom = _EpsSeries(0, (first,) + tuple(-(z * _binomial(k, i)) for i in range(1, terms)))
-    return _ser_mul(numer, _ser_inv(denom))
+    sums = [0] * terms
+    for e, c in counts.items():
+        falling = c
+        for i in range(terms):
+            sums[i] += falling
+            falling *= e - i
+    return [Fraction(s, math.factorial(i)) for i, s in enumerate(sums)]
+
+
+def _inverse_geometric(a: int, terms: int) -> list:
+    """The power series of eps / (1 - u**a) at u = 1 + eps, a != 0.
+
+    ``1 - (1 + eps)**a = eps * bracket`` with
+    ``bracket = -(a + C(a, 2) eps + C(a, 3) eps**2 + ...)``, whose leading
+    coefficient is nonzero, so the series is ``1 / bracket``.
+
+    >>> _inverse_geometric(2, 3)   # eps / (1 - (1 + eps)**2) = -1 / (2 + eps)
+    [Fraction(-1, 2), Fraction(1, 4), Fraction(-1, 8)]
+    """
+    bracket = [-_binomial(a, i + 1) for i in range(terms)]
+    out = [1 / bracket[0]]
+    for k in range(1, terms):
+        acc = sum(bracket[i] * out[k - i] for i in range(1, k + 1))
+        out.append(-acc / bracket[0])
+    return out
+
+
+def _span_mod(generators, moduli) -> tuple:
+    """The subgroup of Z/m_1 + ... + Z/m_r spanned by the generators.
+
+    Each generator g adds the cosets H + t*g for t below the order of g
+    modulo the subgroup H built so far, so the work grows with the size of
+    the subgroup, not with the product of the moduli.
+    """
+    group = [tuple(0 for _ in moduli)]
+    for gen in generators:
+        gen = tuple(g % m for g, m in zip(gen, moduli, strict=True))
+        members = set(group)
+        step = gen
+        grown = list(group)
+        while step not in members:
+            grown.extend(tuple((h + s) % m for h, s, m in zip(elt, step, moduli))
+                         for elt in group)
+            step = tuple((s + g) % m for s, g, m in zip(step, gen, moduli))
+        group = grown
+    return tuple(group)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +147,14 @@ class _AdaptedCone:
 
     One cone of the signed decomposition, described in a basis adapted to
     the superset ``q``: each basis direction carries its dual covector, a
-    flag saying whether the parameter ``X`` shifts its threshold, the
-    character exponents cutting the coarser lattice down to the given one,
-    and the integer exponent of the auxiliary variable.
+    flag saying whether the parameter ``X`` shifts its threshold, and the
+    integer exponent of the auxiliary variable.  In the dual coordinates the
+    spec's lattice is the span of ``generators`` (the images of its basis
+    vectors), of index ``index`` in Z^rank; ``multiples[j]`` is the least
+    m > 0 with m*e_j in it, so the cone's lattice points repeat with those
+    periods along its rays.  ``chars`` are the character exponents of
+    Z^rank modulo the lattice; they only seed the fitted law's candidate
+    frequencies.
     """
 
     subset: tuple
@@ -172,6 +163,8 @@ class _AdaptedCone:
     index: int
     chars: tuple
     k_exponents: tuple
+    generators: tuple
+    multiples: tuple
 
 
 class LatticeSpec:
@@ -285,10 +278,16 @@ class LatticeSpec:
                         for j in range(len(duals)))
                     chars.append(phis)
                 chars = tuple(chars)
+                # m*e_j lies in the lattice iff d_i divides m*U[i][j] for every i
+                multiples = tuple(
+                    math.lcm(*(di // math.gcd(di, row[j]) for di, row in zip(divisors, u_mat)))
+                    for j in range(len(duals)))
             else:
-                index, chars = 1, ((),)
-            cones.append(_AdaptedCone(q, duals, with_x, index, chars, k_vals))
+                index, chars, multiples = 1, ((),), ()
+            cones.append(_AdaptedCone(q, duals, with_x, index, chars, k_vals,
+                                      tuple(zip(*m_int)), multiples))
         self._cones = tuple(cones)
+        self._inverse_series = {}
 
     def _adapted_basis(self, q):
         """Basis of the lattice's ambient space adapted to the superset q."""
@@ -338,6 +337,29 @@ class LatticeSpec:
                 k_table = [tuple(int(-scale * p) for p in row) for row in pairings]
                 return lam, k_table
         raise ConsistencyError("no generic direction found")  # pragma: no cover
+
+    @functools.cached_property
+    def _parallelepipeds(self) -> tuple:
+        """Per cone, the lattice's residues modulo the ray multiples.
+
+        Each residue class holds exactly one lattice point of any half-open
+        box [L, L + m), so these, taken in [0, m), are the box's points for
+        every lower corner L; there are prod(m) / index of them.
+        """
+        out = []
+        for cone in self._cones:
+            residues = _span_mod(cone.generators, cone.multiples)
+            if len(residues) * cone.index != math.prod(cone.multiples):
+                raise ConsistencyError("parallelepiped has the wrong number of points")
+            out.append(residues)
+        return tuple(out)
+
+    def _inverse_geometric(self, a: int) -> list:
+        """Cached series of eps / (1 - u**a), through eps**rank."""
+        series = self._inverse_series.get(a)
+        if series is None:
+            series = self._inverse_series[a] = _inverse_geometric(a, self.rank + 1)
+        return series
 
     def x_point(self, coords) -> Vec:
         """The parameter with the given integer coordinates in ``x_basis``."""
@@ -457,14 +479,16 @@ def product_eval(spec: LatticeSpec, x) -> Fraction:
     """The lattice sum via geometric series, exactly.
 
     Each superset of the spec's subset contributes a signed cone; in the
-    adapted basis the cone's generating function factors into one-sided
-    geometric series, twisted by the characters that carve the spec's
-    lattice out of the finer one it sits inside.  The auxiliary variable is
-    specialised along a generic direction, every factor becomes (root of
-    unity) * u**(integer) / (1 - ...), and the value is the constant term of
-    the alternating sum at u = 1, extracted by exact Laurent expansion.
-    Negative powers of (u - 1) must cancel across cones; if they do not, a
-    :class:`ConsistencyError` reports the failure.
+    adapted basis the cone is an orthant {c >= L} of the spec's lattice,
+    which contains m_j * e_j for its ray multiples m_j.  So the cone's
+    lattice points are those of the half-open box [L, L + m) moved by
+    nonnegative multiples of the m_j * e_j, and its generating function is
+    (sum over the box) / prod(1 - u**(k_j m_j)) once the auxiliary variable
+    is specialised along a generic direction with integer exponents k_j
+    (Brion 1988; Barvinok--Pommersheim 1999).  The value is the constant
+    term of the alternating sum at u = 1, extracted by exact Laurent
+    expansion in rationals.  Negative powers of (u - 1) must cancel across
+    cones; if they do not, a :class:`ConsistencyError` reports the failure.
 
     >>> from .rootdata import build_root_datum
     >>> d = build_root_datum([[2]])
@@ -475,10 +499,11 @@ def product_eval(spec: LatticeSpec, x) -> Fraction:
     x = vec(x)
     spec.x_coords(x)  # raises LatticeError when off the parameter lattice
     n = len(spec.datum.cartan)
-    terms = spec.rank + 2
+    terms = spec.rank + 1
     big_n = spec.denominator
-    total = _ser_const(0, terms)
-    for cone in spec._cones:
+    # each cone's series below is eps**rank times its Laurent series
+    total = [Fraction(0)] * terms
+    for cone, residues in zip(spec._cones, spec._parallelepipeds, strict=True):
         lower = []
         for dual, with_x in zip(cone.duals, cone.with_x, strict=True):
             shift = 0
@@ -488,26 +513,20 @@ def product_eval(spec: LatticeSpec, x) -> Fraction:
                     raise ConsistencyError("parameter pairing is not integral")
                 shift = int(pairing)
             lower.append(shift + math.floor(-big_n * dot(dual, spec.base_point)) + 1)
-        cone_sum = None
-        for phis in cone.chars:
-            prod = _ser_const(1, terms)
-            for phi, k, low in zip(phis, cone.k_exponents, lower, strict=True):
-                prod = _ser_mul(prod, _geometric_factor(phi, k, low, terms))
-            cone_sum = prod if cone_sum is None else _ser_add(cone_sum, prod)
+        ray = tuple(zip(cone.k_exponents, lower, cone.multiples, strict=True))
+        base = sum(k * low for k, low, _ in ray)
+        counts = Counter(base + sum(k * ((r - low) % m) for (k, low, m), r in zip(ray, res))
+                         for res in residues)
+        series = _falling_sums(counts, terms)
+        for k, _, m in ray:
+            series = _ser_mul(series, spec._inverse_geometric(k * m))
         sign = -1 if (n - len(cone.subset)) % 2 else 1
-        total = _ser_add(total, _ser_scale(cone_sum, Fraction(sign, cone.index)))
-    constant = None
-    for i, c in enumerate(total.coeffs):
-        order = total.lo + i
-        if order < 0 and not c.is_zero():
-            raise ConsistencyError(f"failure to cancel all poles: eps**{order} survives")
-        if order == 0:
-            constant = c
-    if constant is None:
-        constant = CyclotomicNumber.zero(1)
-    if not constant.is_rational():
-        raise ConsistencyError("constant term is not rational")
-    return constant.as_rational() * spec.multiplicity
+        total = [t + sign * c for t, c in zip(total, series)]
+    for i, c in enumerate(total[:-1]):
+        if c:
+            raise ConsistencyError(
+                f"failure to cancel all poles: eps**{i - spec.rank} survives")
+    return total[-1] * spec.multiplicity
 
 
 # ---------------------------------------------------------------------------

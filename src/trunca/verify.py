@@ -298,6 +298,9 @@ QPSUM_COMBOS = (
     ("A1", ()),
     ("A2", ()), ("A2", (0,)), ("A2", (1,)),
     ("B2", ()), ("B2", (0,)), ("B2", (1,)),
+    ("G2", ()), ("G2", (0,)), ("G2", (1,)),
+    ("A3", ()), ("A3", (0,)), ("A3", (1,)), ("A3", (2,)),
+    ("A3", (0, 1)), ("A3", (0, 2)), ("A3", (1, 2)),
 )
 FIT_COMBOS = (
     ("A1", ()),

@@ -81,7 +81,7 @@ def test_criterion_6_lattice_sum_routes():
     _gate(records, elapsed, budget=600.0)
     oracle = [r for r in records if "/oracle/" in r.case]
     fits = [r for r in records if "/fit/" in r.case]
-    assert len(oracle) == 7 and len(fits) == 6
+    assert len(oracle) == 17 and len(fits) == 6
     print(f"criterion 6 (series = enumeration, fits predict): PASS - {elapsed:.1f}s")
 
 

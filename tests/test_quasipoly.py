@@ -8,13 +8,19 @@ against hand-picked structural facts (multiplicity, sums on walls).
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trunca.charfield import factor_prime_power
 from trunca.cli import main
+from trunca.cyclotomic import CyclotomicNumber
 from trunca.errors import ConsistencyError, LatticeError
+from trunca.linalg import enumerate_box, mat_inverse, matvec
+from trunca.parabolic import enumerate_standard
 from trunca.quasipoly import (
     LatticeSpec,
     brute_sum,
@@ -101,6 +107,81 @@ def test_support_on_walls_is_summed(kind, subset, coords, expect):
     spec = standard_lattice_spec(datum, subset)
     x = spec.x_point(coords)
     assert brute_sum(spec, x) == product_eval(spec, x) == expect
+
+
+_PROPERTY_DATA = {kind: build_root_datum(kind) for kind in ("A1", "A2", "B2", "G2")}
+
+
+@st.composite
+def _lattice_points(draw):
+    """A spec with a scaled or sheared basis, a rational base point and a
+    rational multiplicity, and a point of its parameter lattice."""
+    datum = _PROPERTY_DATA[draw(st.sampled_from(sorted(_PROPERTY_DATA)))]
+    subset = draw(st.sampled_from(enumerate_standard(datum)[:-1]))
+    standard = standard_lattice_spec(datum, subset).basis
+    rank = len(standard)
+    # a triangular integer change of basis with nonzero diagonal
+    change = [[draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1))) if i == j
+               else draw(st.integers(-2, 2)) if j < i else 0
+               for j in range(rank)] for i in range(rank)]
+    basis = [tuple(sum((c * b[k] for c, b in zip(row, standard)), Fraction(0))
+                   for k in range(datum.dim)) for row in change]
+    rational = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+    weights = [draw(rational) for _ in standard]
+    base = tuple(sum((w * b[k] for w, b in zip(weights, standard)), Fraction(0))
+                 for k in range(datum.dim))
+    spec = LatticeSpec(datum, subset, basis, base_point=base,
+                       multiplicity=draw(rational))
+    coords = tuple(draw(st.integers(-3, 3)) for _ in range(datum.dim))
+    return spec, spec.x_point(coords)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_lattice_points())
+def test_series_route_matches_enumeration(case):
+    spec, x = case
+    assert product_eval(spec, x) == brute_sum(spec, x, certify=True)
+
+
+def test_series_route_uses_no_cyclotomic_arithmetic(monkeypatch):
+    spec = standard_lattice_spec(build_root_datum("A2"), ())
+    x = spec.x_point((3, -2))
+    want = brute_sum(spec, x)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cyclotomic arithmetic in the series route")
+
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", refuse)
+    monkeypatch.setattr(CyclotomicNumber, "__add__", refuse)
+    monkeypatch.setattr(CyclotomicNumber, "root_of_unity", refuse)
+    assert product_eval(spec, x) == want
+
+
+def _in_lattice(cone, point):
+    """Is ``point`` an integer combination of the cone's lattice generators?"""
+    columns = tuple(zip(*cone.generators))
+    return all(c.denominator == 1 for c in matvec(mat_inverse(columns), point))
+
+
+@pytest.mark.parametrize("spec", [
+    LatticeSpec(A1, (), [(4,)]),
+    standard_lattice_spec(build_root_datum("A2"), ()),
+], ids=["A1-on-4Z", "A2-Borel"])
+def test_parallelepipeds_hold_the_box_points(spec):
+    indices = []
+    for cone, residues in zip(spec._cones, spec._parallelepipeds, strict=True):
+        multiples = cone.multiples
+        for j, m in enumerate(multiples):
+            ray = [0] * len(multiples)
+            for step in range(1, m + 1):
+                ray[j] = step
+                assert _in_lattice(cone, ray) == (step == m)
+        box = [p for p in enumerate_box([0] * len(multiples), [m - 1 for m in multiples])
+               if _in_lattice(cone, p)]
+        assert sorted(box) == sorted(residues)
+        assert len(residues) * cone.index == math.prod(multiples)
+        indices.append(cone.index)
+    assert max(indices) > 1
 
 
 def test_zero_parameter_sums_to_zero():
