@@ -310,6 +310,15 @@ def dl_torus_value(theta: TorusCharacter, s: int) -> CyclotomicNumber:
     return CyclotomicNumber.from_exponent_counts(t.m, counts)
 
 
+def _reduce_to_integer(order: int, counts, what: str) -> int:
+    """The integer sum_e counts[e] * zeta_order^e; integer counts reduce to
+    integer coordinates, so a rational value is an integer."""
+    value = CyclotomicNumber.from_exponent_counts(order, counts)
+    if not value.is_rational():
+        raise ConsistencyError(f"{what} did not reduce to a rational")
+    return int(value.as_rational())
+
+
 def char_sum_regular(theta_lambda: TorusCharacter, theta_mu: TorusCharacter) -> int:
     """Sum of products of orbit sums over the noncentral torus elements.
 
@@ -337,13 +346,7 @@ def char_sum_regular(theta_lambda: TorusCharacter, theta_mu: TorusCharacter) -> 
         for a in orbit_l:
             for b in orbit_m:
                 counts[(a + b) * s % t.m] += 1
-    value = CyclotomicNumber.from_exponent_counts(t.m, counts)
-    if not value.is_rational():
-        raise ConsistencyError("character sum did not reduce to a rational")
-    rat = value.as_rational()
-    if rat.denominator != 1:  # pragma: no cover
-        raise ConsistencyError("character sum is not an integer")
-    return int(rat)
+    return _reduce_to_integer(t.m, counts, "character sum")
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +418,8 @@ def lie_char_sum(model: LieTorusModel, x_lambda, x_mu):
         for a in orbit_l:
             for b in orbit_m:
                 counts[f.trace(f.mul(f.add(a, b), s))] += 1
-    value = CyclotomicNumber.from_exponent_counts(model.p, counts)
-    if not value.is_rational():
-        raise ConsistencyError("additive sum did not reduce to a rational")
-    rat = value.as_rational()
-    if rat.denominator != 1:  # pragma: no cover
-        raise ConsistencyError("additive sum is not an integer")
-    return int(rat), Fraction(-int(rat), model.l * model.m)
+    total = _reduce_to_integer(model.p, counts, "additive sum")
+    return total, Fraction(-total, model.l * model.m)
 
 
 def regular_pair(model: LieTorusModel):

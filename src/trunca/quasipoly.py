@@ -4,8 +4,8 @@ Fix a standard subset ``P``, a full-rank lattice inside the semisimple part
 of the attached coordinate subspace, and a base point.  For a parameter
 vector ``X`` the sum of the truncation profile ``gamma`` over the shifted
 lattice is finite (the profile has bounded support), and as ``X`` runs over
-a second lattice the sum obeys a quasi-polynomial law: a finite combination
-of terms (root of unity)^X times a polynomial in X.
+a second lattice the sum obeys a quasi-polynomial law: on each residue class
+of X modulo some periods it is a polynomial in X.
 
 This module evaluates the sum three independent ways so the routes can be
 played against each other:
@@ -17,12 +17,12 @@ played against each other:
   the removable singularity at the unit is extracted by Laurent expansion
   in rationals;
 * ``fit_quasipolynomial`` -- reconstruction of the law itself from sampled
-  values, with the admissible frequencies read off from the cones'
-  character data.
+  values, one polynomial per residue class, with the admissible frequencies
+  read off from the cones' character groups.
 
-All arithmetic is exact: rationals throughout.  Only the fitted law's
-Fourier terms use roots of unity, as
-:class:`~trunca.cyclotomic.CyclotomicNumber`.
+All arithmetic is exact: rationals throughout.  The one place roots of
+unity enter is the fitted law's frequency check, which reduces integer
+exponent counts with :class:`~trunca.cyclotomic.CyclotomicNumber`.
 """
 
 from __future__ import annotations
@@ -65,12 +65,6 @@ def _binomial(k: int, i: int) -> Fraction:
     for t in range(i):
         out *= Fraction(k - t, t + 1)
     return out
-
-
-def _unit(exponent: Fraction) -> CyclotomicNumber:
-    """exp(2*pi*i*exponent) as an exact cyclotomic number."""
-    e = frac(exponent) % 1
-    return CyclotomicNumber.root_of_unity(e.denominator, e.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +146,13 @@ class _AdaptedCone:
     spec's lattice is the span of ``generators`` (the images of its basis
     vectors), of index ``index`` in Z^rank; ``multiples[j]`` is the least
     m > 0 with m*e_j in it, so the cone's lattice points repeat with those
-    periods along its rays.  ``chars`` are the character exponents of
-    Z^rank modulo the lattice; they only seed the fitted law's candidate
-    frequencies.
+    periods along its rays.
     """
 
     subset: tuple
     duals: tuple
     with_x: tuple
     index: int
-    chars: tuple
     k_exponents: tuple
     generators: tuple
     multiples: tuple
@@ -270,21 +261,13 @@ class LatticeSpec:
                 if any(di == 0 for di in divisors):
                     raise ConsistencyError("adapted coordinate matrix is singular")
                 index = math.prod(divisors)
-                chars = []
-                for nu in itertools.product(*[range(di) for di in divisors]):
-                    phis = tuple(
-                        sum((Fraction(nu[i] * u_mat[i][j], divisors[i])
-                             for i in range(len(divisors))), Fraction(0)) % 1
-                        for j in range(len(duals)))
-                    chars.append(phis)
-                chars = tuple(chars)
                 # m*e_j lies in the lattice iff d_i divides m*U[i][j] for every i
                 multiples = tuple(
                     math.lcm(*(di // math.gcd(di, row[j]) for di, row in zip(divisors, u_mat)))
                     for j in range(len(duals)))
             else:
-                index, chars, multiples = 1, ((),), ()
-            cones.append(_AdaptedCone(q, duals, with_x, index, chars, k_vals,
+                index, multiples = 1, ()
+            cones.append(_AdaptedCone(q, duals, with_x, index, k_vals,
                                       tuple(zip(*m_int)), multiples))
         self._cones = tuple(cones)
         self._inverse_series = {}
@@ -535,42 +518,34 @@ def product_eval(spec: LatticeSpec, x) -> Fraction:
 
 @dataclass(frozen=True)
 class QuasiPolynomial:
-    """A finite sum of (root of unity)^coords * polynomial(coords).
+    """A quasi-polynomial law, stored as its constituents.
 
-    ``terms`` maps each frequency covector (entries are rationals modulo 1,
-    one per lattice coordinate) to a polynomial stored as monomial-exponent
-    tuples with cyclotomic coefficients.
+    On each residue class of the coordinates modulo ``moduli`` the law is a
+    polynomial (Beck--Robins, *Computing the Continuous Discretely*, ch. 3):
+    ``coefficients`` holds one tuple per class, the classes in
+    ``itertools.product`` order, with one rational per exponent tuple of
+    ``monomials``.  Written instead as a sum of exp(2 pi i <chi, coords>)
+    times a polynomial, the law has a nonzero polynomial exactly at the
+    ``frequencies`` chi, covectors of rationals modulo 1 in increasing
+    order.
     """
 
-    dim: int
-    terms: tuple
-
-    def evaluate(self, coords) -> CyclotomicNumber:
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != self.dim:
-            raise ValueError("wrong number of coordinates")
-        total = CyclotomicNumber.zero(1)
-        for freq, poly in self.terms:
-            phase = _unit(sum((f * c for f, c in zip(freq, coords, strict=True)),
-                              Fraction(0)))
-            value = CyclotomicNumber.zero(1)
-            for mono, coeff in poly:
-                scalar = Fraction(1)
-                for e, c in zip(mono, coords, strict=True):
-                    scalar *= Fraction(c) ** e
-                value = value + coeff * scalar
-            total = total + phase * value
-        return total
+    moduli: tuple
+    monomials: tuple
+    coefficients: tuple
+    frequencies: tuple
 
     def evaluate_rational(self, coords) -> Fraction:
-        value = self.evaluate(coords)
-        if not value.is_rational():
-            raise ConsistencyError("quasi-polynomial value is not rational")
-        return value.as_rational()
-
-    @property
-    def frequencies(self) -> tuple:
-        return tuple(freq for freq, _ in self.terms)
+        """The value at ``coords``: the polynomial of their residue class."""
+        coords = tuple(int(c) for c in coords)
+        if len(coords) != len(self.moduli):
+            raise ValueError("wrong number of coordinates")
+        index = 0
+        for c, m in zip(coords, self.moduli):
+            index = index * m + c % m
+        return sum((coeff * math.prod(c ** e for c, e in zip(coords, mono))
+                    for mono, coeff in zip(self.monomials, self.coefficients[index],
+                                           strict=True)), Fraction(0))
 
 
 def _monomials(dim: int, degree: int):
@@ -579,18 +554,80 @@ def _monomials(dim: int, degree: int):
     return sorted(out)
 
 
+def _candidate_frequencies(spec: LatticeSpec):
+    """The admissible frequencies, as numerators over per-coordinate moduli.
+
+    A cone's characters are those of Z^rank modulo its lattice, that is the
+    dual lattice modulo Z^rank, which the rows of the inverse of the
+    generator matrix (generators as columns) generate.  Pairing the
+    parameter-facing directions with ``x_basis`` carries a character to a
+    frequency covector, so the images of those rows span the cone's
+    candidate subgroup.  Returns the union of the subgroups and the moduli,
+    the lcm of the frequencies' denominators per coordinate.
+    """
+    dim = len(spec.x_basis)
+    images = []
+    for cone in spec._cones:
+        pairing = [tuple(int(spec.denominator * dot(dual, xb)) for xb in spec.x_basis)
+                   if with_x else (0,) * dim
+                   for dual, with_x in zip(cone.duals, cone.with_x, strict=True)]
+        rows = mat_inverse(tuple(zip(*cone.generators)))
+        images.append([tuple(sum((phi * row[i] for phi, row in zip(char, pairing, strict=True)),
+                                 Fraction(0)) % 1 for i in range(dim)) for char in rows])
+    moduli = tuple(math.lcm(*(f[i].denominator for gens in images for f in gens))
+                   for i in range(dim))
+    candidates = set()
+    for gens in images:
+        numerators = [tuple(int(f * m) for f, m in zip(freq, moduli)) for freq in gens]
+        candidates.update(_span_mod(numerators, moduli))
+    return candidates, moduli
+
+
+def _frequencies(coefficients, moduli, candidates) -> tuple:
+    """The characters of the class group whose amplitude is nonzero.
+
+    A character chi = (a_i / m_i) of order d has, on each monomial, the
+    amplitude sum_r c(r) * zeta_d^(-d <chi, r>) over the residue classes r.
+    Scaled to integers and bucketed by exponent, the coefficients form a
+    count vector, and the amplitude is zero exactly when that vector reduces
+    to zero modulo the d-th cyclotomic polynomial.  Every character is
+    tested, and a nonzero amplitude outside the candidates raises
+    :class:`ConsistencyError`.
+    """
+    classes = tuple(itertools.product(*[range(m) for m in moduli]))
+    columns = [scaled_int_vec(column, lcm_den(column)) for column in zip(*coefficients)]
+    found = []
+    for chi in classes:
+        order = math.lcm(*(m // math.gcd(a, m) for a, m in zip(chi, moduli)))
+        weights = [a * order // m for a, m in zip(chi, moduli)]
+        exponents = [-sum(w * r for w, r in zip(weights, residue)) % order
+                     for residue in classes]
+        for column in columns:
+            counts = [0] * order
+            for e, c in zip(exponents, column):
+                counts[e] += c
+            if not CyclotomicNumber.from_exponent_counts(order, counts).is_zero():
+                if chi not in candidates:
+                    raise ConsistencyError(
+                        "fitted law needs a frequency outside the candidate set")
+                found.append(tuple(Fraction(a, m) for a, m in zip(chi, moduli)))
+                break
+    return tuple(found)
+
+
 def fit_quasipolynomial(spec: LatticeSpec, samples, evaluator=None) -> QuasiPolynomial:
     """Reconstruct the quasi-polynomial law of the lattice sum.
 
-    The candidate frequencies come from the spec's character data: only the
-    exponents attached to some cone's parameter-facing directions can occur.
-    Values are grouped by residue class modulo the frequency denominators;
-    on each class the law is an honest polynomial of degree at most the
-    lattice rank, fitted exactly (the sampling grid is enlarged along a
-    deterministic schedule until the linear system determines it, and every
-    remaining point must then reproduce).  A finite Fourier transform over
-    the classes separates the frequencies, and any amplitude outside the
-    candidate set raises :class:`ConsistencyError`.
+    The candidate frequencies come from the cones' character groups: only
+    the characters seen through some cone's parameter-facing directions can
+    occur, and their denominators give the periods ``moduli``.  On each
+    residue class modulo the periods the law is an honest polynomial of
+    degree at most the lattice rank, fitted exactly (the sampling grid is
+    enlarged along a deterministic schedule until the linear system
+    determines it, and every remaining point must then reproduce).  Each
+    character's amplitude over the classes is then tested for zero by one
+    cyclotomic reduction of integer counts, and a nonzero amplitude outside
+    the candidate set raises :class:`ConsistencyError`.
 
     ``samples`` is an iterable of (coords, value) pairs with integer
     coordinates in the spec's ``x_basis``; ``evaluator`` maps coords to the
@@ -600,8 +637,8 @@ def fit_quasipolynomial(spec: LatticeSpec, samples, evaluator=None) -> QuasiPoly
     >>> d = build_root_datum([[2]])
     >>> spec = LatticeSpec(d, (), [d.simple_coroots[0]])
     >>> law = fit_quasipolynomial(spec, [((x,), brute_sum(spec, (x,))) for x in range(8)])
-    >>> sorted(law.frequencies)
-    [(Fraction(0, 1),), (Fraction(1, 2),)]
+    >>> law.frequencies
+    ((Fraction(0, 1),), (Fraction(1, 2),))
     >>> law.evaluate_rational((101,)) == brute_sum(spec, (101,))
     True
     """
@@ -609,24 +646,7 @@ def fit_quasipolynomial(spec: LatticeSpec, samples, evaluator=None) -> QuasiPoly
     degree = spec.rank
     if evaluator is None:
         evaluator = lambda coords: brute_sum(spec, spec.x_point(coords))
-
-    candidates = set()
-    for cone in spec._cones:
-        scaled = []
-        for dual, with_x in zip(cone.duals, cone.with_x, strict=True):
-            row = None
-            if with_x:
-                row = tuple(int(spec.denominator * dot(dual, xb)) for xb in spec.x_basis)
-            scaled.append(row)
-        for phis in cone.chars:
-            freq = [Fraction(0)] * dim
-            for phi, row in zip(phis, scaled, strict=True):
-                if row is None:
-                    continue
-                for i, entry in enumerate(row):
-                    freq[i] = (freq[i] + phi * entry) % 1
-            candidates.add(tuple(freq))
-    moduli = tuple(math.lcm(*(f[i].denominator for f in candidates)) for i in range(dim))
+    candidates, moduli = _candidate_frequencies(spec)
 
     known = {}
     for coords, value in samples:
@@ -636,7 +656,7 @@ def fit_quasipolynomial(spec: LatticeSpec, samples, evaluator=None) -> QuasiPoly
             raise ConsistencyError(f"conflicting sample values at {coords}")
 
     monos = _monomials(dim, degree)
-    fits = {}
+    fits = []
     for residue in itertools.product(*[range(m) for m in moduli]):
         points = [c for c in known if all(ci % m == r for ci, m, r
                                           in zip(c, moduli, residue, strict=True))]
@@ -663,31 +683,6 @@ def fit_quasipolynomial(spec: LatticeSpec, samples, evaluator=None) -> QuasiPoly
             if dot(row, coeffs) != known[points[i]]:
                 raise ConsistencyError(
                     f"samples at {points[i]} break the degree-{degree} law")
-        fits[residue] = coeffs
-
-    class_count = math.prod(moduli)
-    terms = []
-    reconstructed = {r: [CyclotomicNumber.zero(1)] * len(monos) for r in fits}
-    for freq in sorted(candidates):
-        poly = [CyclotomicNumber.zero(1)] * len(monos)
-        for residue, coeffs in fits.items():
-            phase = _unit(-sum((f * r for f, r in zip(freq, residue, strict=True)),
-                               Fraction(0)))
-            for i, c in enumerate(coeffs):
-                poly[i] = poly[i] + phase * c
-        poly = [p * Fraction(1, class_count) for p in poly]
-        for residue in fits:
-            phase = _unit(sum((f * r for f, r in zip(freq, residue, strict=True)),
-                              Fraction(0)))
-            for i, p in enumerate(poly):
-                reconstructed[residue][i] = reconstructed[residue][i] + phase * p
-        kept = tuple((mono, c) for mono, c in zip(monos, poly, strict=True)
-                     if not c.is_zero())
-        if kept:
-            terms.append((freq, kept))
-    for residue, coeffs in fits.items():
-        for got, want in zip(reconstructed[residue], coeffs, strict=True):
-            if not (got - CyclotomicNumber.from_rational(1, want)).is_zero():
-                raise ConsistencyError(
-                    "fitted law needs a frequency outside the candidate set")
-    return QuasiPolynomial(dim, tuple(terms))
+        fits.append(coeffs)
+    return QuasiPolynomial(moduli, tuple(monos), tuple(fits),
+                           _frequencies(fits, moduli, candidates))

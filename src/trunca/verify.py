@@ -27,7 +27,6 @@ from .charfield import (
     lie_char_sum,
     regular_pair,
 )
-from .cyclotomic import CyclotomicNumber
 from .errors import WallError
 from .parabolic import SemiStandardParabolic, enumerate_standard
 from .polyhedra import (
@@ -57,14 +56,12 @@ def fmt_rational(x) -> str:
 
 
 def fmt_value(x) -> str:
-    """Serialize a report value: rationals as "num/den", cyclotomic numbers
-    as their coordinate list on the power basis, everything else via str."""
+    """Serialize a report value: rationals as "num/den", everything else via
+    str."""
     if isinstance(x, bool):
         return str(x).lower()
     if isinstance(x, (int, Fraction)):
         return fmt_rational(x)
-    if isinstance(x, CyclotomicNumber):
-        return f"zeta{x.order}[" + ",".join(fmt_rational(c) for c in x.coeffs) + "]"
     return str(x)
 
 

@@ -29,6 +29,7 @@ from trunca.quasipoly import (
     standard_lattice_spec,
 )
 from trunca.rootdata import build_root_datum
+from trunca.verify import FIT_COMBOS
 
 
 def _count_interval(step, shift, x):
@@ -149,11 +150,9 @@ def test_series_route_uses_no_cyclotomic_arithmetic(monkeypatch):
     want = brute_sum(spec, x)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("cyclotomic arithmetic in the series route")
+        raise AssertionError("cyclotomic reduction in the series route")
 
-    monkeypatch.setattr(CyclotomicNumber, "__mul__", refuse)
-    monkeypatch.setattr(CyclotomicNumber, "__add__", refuse)
-    monkeypatch.setattr(CyclotomicNumber, "root_of_unity", refuse)
+    monkeypatch.setattr(CyclotomicNumber, "from_exponent_counts", refuse)
     assert product_eval(spec, x) == want
 
 
@@ -262,6 +261,45 @@ def test_fit_two_dimensional_prediction():
     law = fit_quasipolynomial(spec, samples)
     for coords in [(7, 9), (10, 3), (8, 8)]:
         assert law.evaluate_rational(coords) == brute_sum(spec, spec.x_point(coords))
+
+
+# The frequencies of each suite law.  Their denominators set the step of the
+# far points the benchmark checks a law at, so they are pinned exactly.
+_SUITE_FREQUENCIES = {
+    ("A1", ()): {(0,), (Fraction(1, 2),)},
+    ("A2", (0,)): {(0, 0), (Fraction(1, 3), Fraction(2, 3)),
+                   (Fraction(2, 3), Fraction(1, 3))},
+    ("A2", (1,)): {(0, 0), (Fraction(1, 3), Fraction(2, 3)),
+                   (Fraction(2, 3), Fraction(1, 3))},
+    ("B2", ()): {(0, 0), (Fraction(1, 2), 0), (Fraction(1, 2), Fraction(1, 2))},
+    ("B2", (0,)): {(0, 0), (Fraction(1, 2), 0)},
+    ("B2", (1,)): {(0, 0)},
+}
+
+
+def test_suite_laws_keep_their_frequencies():
+    assert set(_SUITE_FREQUENCIES) == set(FIT_COMBOS)
+    for (kind, subset), want in _SUITE_FREQUENCIES.items():
+        spec = standard_lattice_spec(build_root_datum(kind), subset)
+        law = fit_quasipolynomial(spec, [])
+        assert list(law.frequencies) == sorted(want), (kind, subset)
+
+
+@pytest.mark.parametrize("kind,subset,planted", [
+    ("B2", (), (0, Fraction(1, 2))),
+    ("A2", (0,), (0, Fraction(1, 3))),
+], ids=["B2-Borel", "A2-subset0"])
+def test_fit_rejects_a_planted_outside_frequency(kind, subset, planted):
+    # brute_sum plus the indicator of <planted, coords> in Z: the indicator
+    # has amplitude at the planted frequency, which no cone admits
+    spec = standard_lattice_spec(build_root_datum(kind), subset)
+
+    def evaluator(coords):
+        pairing = sum(f * c for f, c in zip(planted, coords))
+        return brute_sum(spec, spec.x_point(coords)) + (pairing.denominator == 1)
+
+    with pytest.raises(ConsistencyError, match="outside the candidate set"):
+        fit_quasipolynomial(spec, [], evaluator)
 
 
 def test_fit_rejects_corrupted_samples():
