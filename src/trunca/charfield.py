@@ -478,7 +478,7 @@ def assemble_J(theta_lambda: TorusCharacter, theta_mu: TorusCharacter,
 # the split-torus cuspidal filter
 
 
-def cuspidal_filter_check(n: int, q: int, exps_lambda, exps_mu, split: bool = True) -> bool:
+def cuspidal_filter_check(n: int, q: int, exps_lambda, exps_mu) -> bool:
     """Levi-centre restriction test for a split maximal torus of SL_n.
 
     The torus is the determinant-one diagonal subgroup; a character is a
@@ -495,8 +495,6 @@ def cuspidal_filter_check(n: int, q: int, exps_lambda, exps_mu, split: bool = Tr
     >>> cuspidal_filter_check(2, 5, (1, 0), (-1, 0))
     False
     """
-    if not split:
-        raise ValueError("only split maximal tori are supported")
     if n < 2:
         raise ValueError("the group must have rank at least one")
     if factor_prime_power(q) is None:

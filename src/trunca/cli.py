@@ -177,7 +177,7 @@ def cmd_weyl(config: RunConfig) -> int:
     datum = _datum(config.ctype)
     weyl = datum.weyl
     elements = sorted(
-        ({"word": "".join(str(i + 1) for i in w.word) or "e",
+        ({"word": w.label,
           "length": w.length} for w in weyl.elements),
         key=lambda e: (e["length"], e["word"]))
     _emit({"type": datum.label, "order": weyl.order,
@@ -194,7 +194,7 @@ def cmd_refine(config: RunConfig) -> int:
     for facet in enumerate_semistandard(datum):
         table.append({
             "subset": [i + 1 for i in facet.subset],
-            "rep": "".join(str(i + 1) for i in facet.rep.word) or "e",
+            "rep": facet.rep.label,
             "degree": fmt_rational(degree(cp, facet)),
         })
     table.sort(key=lambda row: (len(row["subset"]), row["subset"], row["rep"]))
@@ -204,7 +204,7 @@ def cmd_refine(config: RunConfig) -> int:
         "polyhedron": {k: fmt_vector(v) for k, v in sorted(cp.to_mapping().items())},
         "refinement": {
             "subset": [i + 1 for i in refinement.subset],
-            "rep": "".join(str(i + 1) for i in refinement.rep.word) or "e",
+            "rep": refinement.rep.label,
         },
         "degrees": table,
     }, config)

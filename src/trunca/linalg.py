@@ -97,20 +97,6 @@ def identity_matrix(n) -> Mat:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
-def int_matrix(m) -> tuple[tuple[int, ...], ...]:
-    """Cast an exactly-integral rational matrix to machine ints."""
-    out = []
-    for row in m:
-        irow = []
-        for x in row:
-            f = frac(x)
-            if f.denominator != 1:
-                raise ValueError(f"entry {f} is not an integer")
-            irow.append(f.numerator)
-        out.append(tuple(irow))
-    return tuple(out)
-
-
 def _gauss(rows, width):
     """Row-reduce in place (list of lists of Fractions); returns pivot cols."""
     pivots = []

@@ -63,8 +63,7 @@ class SemiStandardParabolic:
         return self.rep.length == 0
 
     def __repr__(self):
-        word = "".join(str(i + 1) for i in self.rep.word) or "e"
-        return f"SemiStandardParabolic(subset={self.subset}, rep={word})"
+        return f"SemiStandardParabolic(subset={self.subset}, rep={self.rep.label})"
 
 
 def enumerate_semistandard(datum: RootDatum):

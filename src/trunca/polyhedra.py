@@ -48,14 +48,14 @@ class ComplementaryPolyhedron:
         """Build from a dict keyed by reduced words ("e", "1", "121", ...)."""
         vertices = []
         for w in datum.weyl.elements:
-            key = _word_key(w)
+            key = w.label
             if key not in mapping:
                 raise ValueError(f"missing vertex for Weyl element {key!r}")
             vertices.append(mapping[key])
         return cls(datum, vertices)
 
     def to_mapping(self):
-        return {_word_key(w): list(self.vertices[w.index])
+        return {w.label: list(self.vertices[w.index])
                 for w in self.datum.weyl.elements}
 
     def vertex(self, w: WeylElement):
@@ -72,10 +72,6 @@ class ComplementaryPolyhedron:
     def __repr__(self):
         return (f"ComplementaryPolyhedron({self.datum.label!r}, "
                 f"{len(self.vertices)} vertices)")
-
-
-def _word_key(w: WeylElement) -> str:
-    return "".join(str(i + 1) for i in w.word) or "e"
 
 
 @dataclass(frozen=True)

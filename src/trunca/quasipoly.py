@@ -237,7 +237,7 @@ class LatticeSpec:
                 coords = tuple(tuple(dot(cv, b) for b in self.basis) for cv in duals)
                 for row in coords:
                     dens.append(lcm_den(row))
-                raw.append((q, duals, with_x, coords))
+                raw.append((q, vectors, duals, with_x, coords))
         for j in rest:
             for x in self.x_basis:
                 dens.append(dot(datum.fundamental_weights[j], x).denominator)
@@ -254,7 +254,7 @@ class LatticeSpec:
         self.direction = lambda0
 
         cones = []
-        for (q, duals, with_x, coords), k_vals in zip(raw, k_table, strict=True):
+        for (q, _, duals, with_x, coords), k_vals in zip(raw, k_table, strict=True):
             m_int = tuple(scaled_int_vec(row, self.denominator) for row in coords)
             if m_int:
                 divisors, u_mat, _ = integer_smith(m_int)
@@ -306,10 +306,7 @@ class LatticeSpec:
         """
         datum = self.datum
         rest = [j for j in range(len(datum.cartan)) if j not in self.subset]
-        all_vectors = []
-        for q, duals, with_x, coords in raw:
-            vectors, _, _ = self._adapted_basis(q)
-            all_vectors.append(vectors)
+        all_vectors = [vectors for _, vectors, *_ in raw]
         for s in range(1, 10000):
             lam = zero_vec(datum.dim)
             for pos, j in enumerate(rest):

@@ -15,8 +15,9 @@ which has pleasant consequences used throughout the package:
 
 A Weyl element is keyed by its permutation of the roots: products,
 inverses and minimal coset representatives (``WeylGroup.min_reps``, one
-table per subset, kept on the group) are lookups on permutations; the
-matrix serves the action on vectors and the restriction of a folding.
+table per subset, kept on the group) are lookups on permutations, and so is
+the restriction of a sigma-fixed element to a folding; the matrix serves
+only the action on vectors.
 
 The Cartan convention is ``cartan[i][j] = <alpha_i, alpha_j_coroot>``.
 
@@ -39,7 +40,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .errors import CartanMatrixError, ConsistencyError, FoldingError
 from .linalg import (
@@ -47,10 +47,8 @@ from .linalg import (
     basis_vec,
     dot,
     frac,
-    int_matrix,
     is_positive_definite,
     mat_inverse,
-    matmul,
     matvec,
     vec,
 )
@@ -367,6 +365,12 @@ class WeylElement:
     def length(self) -> int:
         return len(self.word)
 
+    @property
+    def label(self) -> str:
+        """The word of record, one-based and concatenated ("e" for the
+        identity): the key of a polyhedron vertex and of CLI output."""
+        return "".join(str(i + 1) for i in self.word) or "e"
+
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
             return NotImplemented
@@ -376,7 +380,7 @@ class WeylElement:
         return hash(self.root_perm)
 
     def __repr__(self):
-        return f"WeylElement(word={''.join(str(i + 1) for i in self.word) or 'e'})"
+        return f"WeylElement(word={self.label})"
 
 
 class WeylGroup:
@@ -516,83 +520,76 @@ def generate_weyl(datum: RootDatum) -> WeylGroup:
 # --- folding ---------------------------------------------------------------
 
 
+def _restrict(orbits, x):
+    """Orbit sums of the first coordinates of x: the restriction of a root,
+    given by its simple-root coordinates, to the sigma-fixed subspace."""
+    return tuple(sum(x[i] for i in orbit) for orbit in orbits)
+
+
+def _orbit_means(orbits, x):
+    """The sigma-average of x on the first coordinates, one mean per orbit."""
+    return tuple(Fraction(s, len(orbit)) for s, orbit in zip(_restrict(orbits, x), orbits))
+
+
 class Folding:
     """A diagram automorphism and the folded (restricted) root datum.
 
     ``big`` is the original datum, ``small`` the folded one, living in its
-    own coweight + central coordinates.  ``embed`` maps the folded space
-    isomorphically onto the sigma-fixed subspace of the big one;
-    ``project_vector`` is the left inverse given by averaging over the
-    automorphism orbit and re-reading coordinates.  ``c`` holds, per folded
-    root, the ratio of squared lengths (restricted over original); these lie
-    in (0, 1] and scale coroots under restriction.
+    own coweight + central coordinates.  sigma permutes the big coweight
+    coordinates along ``orbits`` and fixes the central ones, so a
+    sigma-average is a mean over each orbit.  ``embed`` maps the folded
+    space isomorphically onto the sigma-fixed subspace of the big one;
+    ``project_vector`` is its left inverse, the orbit means of a vector.
+    ``c`` holds, per folded root, the ratio of squared lengths (restricted
+    over original); these lie in (0, 1] and scale coroots under restriction.
     """
 
-    def __init__(self, big, perm, small, orbits, c_by_index, embed, sigma_matrix):
+    def __init__(self, big, perm, small, orbits, c_by_index, embed):
         self.big = big
         self.perm = perm
         self.small = small
         self.orbits = orbits
         self.c = c_by_index
         self.embed = embed
-        self.sigma_matrix = sigma_matrix
-        d = 1
-        for orbit in orbits:
-            d = lcm(d, len(orbit))
-        self.order = d
-
-    def sigma_vector(self, v):
-        return matvec(self.sigma_matrix, v)
-
-    def average_vector(self, v):
-        """The sigma-orbit average of a vector of the big space."""
-        out = vec(v)
-        cur = vec(v)
-        for _ in range(self.order - 1):
-            cur = self.sigma_vector(cur)
-            out = tuple(a + b for a, b in zip(out, cur))
-        return tuple(a / self.order for a in out)
 
     def project_vector(self, v):
-        """Orbit-average v, then read it in folded coordinates."""
-        avg = self.average_vector(v)
-        return self._fixed_to_small(avg)
+        """The orbit means of v, then its central coordinates unchanged."""
+        return _orbit_means(self.orbits, v) + vec(v[self.big.rank_ss:])
 
-    def _fixed_to_small(self, v):
-        coords = []
-        for orbit in self.orbits:
-            rep = min(orbit)
-            for i in orbit:
-                if v[i] != v[rep]:
-                    raise ConsistencyError("vector is not sigma-fixed")
-            coords.append(v[rep])
-        coords.extend(v[self.big.rank_ss:])
-        return tuple(coords)
+    @cached_property
+    def root_perm(self):
+        """sigma on the big datum's roots: ``root_perm[k]`` is the index of
+        sigma(roots[k]), where sigma sends alpha_i to alpha_perm[i]."""
+        inverse = sorted(range(self.big.rank_ss), key=self.perm.__getitem__)
+        return tuple(self.big.root_index[tuple(r.coords[i] for i in inverse)]
+                     for r in self.big.roots)
 
     @cached_property
     def weyl_correspondence(self):
         """dict: folded Weyl element index -> sigma-fixed big Weyl element.
 
-        The restriction map from the sigma-centralizer onto the folded Weyl
-        group is bijective; a failure here is a ConsistencyError.
+        w is sigma-fixed when its root permutation commutes with sigma's; it
+        then preserves the fixed subspace and acts there as the folded
+        element that sends the restriction of each root beta to the
+        restriction of w(beta).  The restriction map from the
+        sigma-centralizer onto the folded Weyl group is bijective; a failure
+        here is a ConsistencyError.
         """
-        bigw = self.big.weyl
+        sigma = self.root_perm
         smallw = self.small.weyl
-        by_matrix = {w.matrix: w for w in smallw.elements}
-        sig = int_matrix(self.sigma_matrix)
-        sig_inv = int_matrix(mat_inverse(self.sigma_matrix))
+        restricted = [self.small.root_index[_restrict(self.orbits, r.coords)]
+                      for r in self.big.roots]
         match = {}
-        proj = self._proj_rows()
-        for w in bigw.elements:
-            if int_matrix(matmul(sig, matmul(w.matrix, sig_inv))) != w.matrix:
+        for w in self.big.weyl.elements:
+            w_perm = w.root_perm
+            if any(sigma[w_perm[k]] != w_perm[sigma[k]] for k in range(len(w_perm))):
                 continue
-            induced = matmul(proj, matmul(w.matrix, self.embed))
-            try:
-                key = int_matrix(induced)
-            except ValueError as exc:
-                raise ConsistencyError(
-                    "sigma-fixed element restricts non-integrally") from exc
-            small = by_matrix.get(key)
+            image = {}
+            for k, j in enumerate(restricted):
+                if image.setdefault(j, restricted[w_perm[k]]) != restricted[w_perm[k]]:
+                    raise ConsistencyError("preimages of a restricted root have "
+                                           "different images")
+            small = smallw.by_perm.get(tuple(image[j] for j in range(len(image))))
             if small is None:
                 raise ConsistencyError("sigma-fixed element does not restrict "
                                        "to a folded Weyl element")
@@ -606,31 +603,17 @@ class Folding:
                 f"group has {smallw.order}")
         return match
 
-    def _proj_rows(self):
-        rows = []
-        for orbit in self.orbits:
-            rep = min(orbit)
-            rows.append(tuple(
-                Fraction(1 if i == rep else 0) for i in range(self.big.dim)))
-        for k in range(self.big.rank_central):
-            rows.append(tuple(
-                Fraction(1 if i == self.big.rank_ss + k else 0)
-                for i in range(self.big.dim)))
-        return tuple(rows)
 
-
-def fold(datum: RootDatum, perm, order: int | None = None) -> Folding:
+def fold(datum: RootDatum, perm) -> Folding:
     """Fold a datum along a Cartan-matrix-preserving permutation of the
     simple roots.
 
-    Restricted roots are the restrictions of all the original roots to the
-    fixed subspace (non-reduced BC systems do occur); restricted coroots are
-    orbit averages scaled by 1/c.  Everything is asserted integral in the
-    folded coordinates and cross-checked against every preimage.
-
-    ``order``, if given, must be a multiple of the permutation's actual
-    order (averaging over ``order`` powers of sigma then agrees with the
-    orbit average).
+    Restricted roots are the orbit sums of the original roots' simple-root
+    coordinates (non-reduced BC systems do occur).  The length ratio c of a
+    root is the squared length of its orbit means over its own, and its
+    restricted coroot is the orbit means of its coroot scaled by 1/c.
+    Everything is asserted integral in the folded coordinates and
+    cross-checked against every preimage.
 
     >>> f = fold(build_root_datum("A3"), (2, 1, 0))
     >>> [list(r) for r in f.small.cartan]
@@ -642,15 +625,6 @@ def fold(datum: RootDatum, perm, order: int | None = None) -> Folding:
     perm = tuple(perm)
     if sorted(perm) != list(range(n)):
         raise FoldingError("not a permutation of the simple roots")
-    if order is not None:
-        if order < 1:
-            raise FoldingError("order must be a positive integer")
-        image = list(range(n))
-        for _ in range(order):
-            image = [perm[i] for i in image]
-        if image != list(range(n)):
-            raise FoldingError(f"permutation to the power {order} is not the "
-                               "identity")
     for i in range(n):
         for j in range(n):
             if datum.cartan[perm[i]][perm[j]] != datum.cartan[i][j]:
@@ -671,30 +645,26 @@ def fold(datum: RootDatum, perm, order: int | None = None) -> Folding:
         seen.update(orbit)
         orbits.append(tuple(sorted(orbit)))
     orbits.sort(key=min)
-
-    # sigma as a matrix on the big space (coweight coords permute, center fixed)
-    dim = datum.dim
-    sigma = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(n):
-        sigma[perm[i]][i] = Fraction(1)
-    for k in range(datum.rank_central):
-        sigma[n + k][n + k] = Fraction(1)
-    sigma = tuple(tuple(row) for row in sigma)
-
-    # inner products of orbit-averaged simple roots, via the big Gram matrix
-    def avg_inner(o1, o2):
-        total = Fraction(0)
-        for i in o1:
-            for j in o2:
-                total += datum.gram[i][j]
-        return total / (len(o1) * len(o2))
-
     k = len(orbits)
+    orbit_of = {i: a for a, orbit in enumerate(orbits) for i in orbit}
+
+    def inner(x, y):
+        """Big-datum inner product of covectors given by simple-root coordinates."""
+        return sum((x[i] * y[j] * datum.gram[i][j]
+                    for i in range(n) if x[i] for j in range(n) if y[j]), Fraction(0))
+
+    def average(x):
+        """The sigma-average of x: each coordinate replaced by its orbit mean."""
+        means = _orbit_means(orbits, x)
+        return tuple(means[orbit_of[i]] for i in range(n))
+
+    # folded Cartan matrix from the inner products of averaged simple roots
+    averaged = [average(datum.simple_roots[orbit[0]]) for orbit in orbits]
     folded_cartan = []
     for a in range(k):
         row = []
         for b in range(k):
-            val = 2 * avg_inner(orbits[a], orbits[b]) / avg_inner(orbits[b], orbits[b])
+            val = 2 * inner(averaged[a], averaged[b]) / inner(averaged[b], averaged[b])
             if val.denominator != 1:
                 raise ConsistencyError(f"folded Cartan entry ({a},{b}) = {val} "
                                        "is not an integer")
@@ -703,81 +673,17 @@ def fold(datum: RootDatum, perm, order: int | None = None) -> Folding:
 
     # restrict every root; remember one preimage per restricted root and
     # check all preimages agree on c and on the folded coroot
-    orbit_of = {}
-    for o_idx, orbit in enumerate(orbits):
-        for i in orbit:
-            orbit_of[i] = o_idx
-
-    def sigma_perm_power(coords, times):
-        out = list(coords)
-        for _ in range(times):
-            nxt = [0] * n
-            for i in range(n):
-                nxt[perm[i]] = out[i]
-            out = nxt
-        return tuple(out)
-
-    order = 1
-    for orbit in orbits:
-        order = lcm(order, len(orbit))
-
-    def restrict_coords(coords):
-        folded = [0] * k
-        for i, x in enumerate(coords):
-            folded[orbit_of[i]] += x
-        return tuple(folded)
-
-    def root_norm(coords):
-        total = Fraction(0)
-        for i, x in enumerate(coords):
-            if x:
-                for j, y in enumerate(coords):
-                    if y:
-                        total += x * y * datum.gram[i][j]
-        return total
-
-    def avg_coords(coords):
-        acc = [Fraction(0)] * n
-        for t in range(order):
-            img = sigma_perm_power(coords, t)
-            for i in range(n):
-                acc[i] += img[i]
-        return tuple(x / order for x in acc)
-
     restricted = {}
     c_of = {}
     for r in datum.roots:
-        fc = restrict_coords(r.coords)
-        avg = avg_coords(r.coords)
-        norm_avg = Fraction(0)
-        for i, x in enumerate(avg):
-            if x:
-                for j, y in enumerate(avg):
-                    if y:
-                        norm_avg += x * y * datum.gram[i][j]
-        c_val = norm_avg / root_norm(r.coords)
-        # folded coroot: average the coroot over sigma, scale by 1/c, read off
-        cor = list(r.coroot)
-        acc = [Fraction(0)] * dim
-        cur = vec(cor)
-        for t in range(order):
-            for i in range(dim):
-                acc[i] += cur[i]
-            cur = matvec(sigma, cur)
-        acc = [x / order for x in acc]
-        folded_cor = []
-        for orbit in orbits:
-            rep = min(orbit)
-            for i in orbit:
-                if acc[i] != acc[rep]:
-                    raise ConsistencyError("averaged coroot is not sigma-fixed")
-            folded_cor.append(acc[rep] / c_val)
-        folded_cor.extend(acc[n:])
-        for x in folded_cor:
-            if frac(x).denominator != 1:
-                raise ConsistencyError(
-                    f"folded coroot of {r.coords} is not integral: {folded_cor}")
-        folded_cor = tuple(int(x) for x in folded_cor[:k])
+        fc = _restrict(orbits, r.coords)
+        avg = average(r.coords)
+        c_val = inner(avg, avg) / inner(r.coords, r.coords)
+        folded_cor = tuple(x / c_val for x in _orbit_means(orbits, r.coroot))
+        if any(x.denominator != 1 for x in folded_cor):
+            raise ConsistencyError(
+                f"folded coroot of {r.coords} is not integral: {folded_cor}")
+        folded_cor = tuple(int(x) for x in folded_cor)
         if fc in restricted:
             if restricted[fc] != folded_cor or c_of[fc] != c_val:
                 raise ConsistencyError(
@@ -804,13 +710,9 @@ def fold(datum: RootDatum, perm, order: int | None = None) -> Folding:
 
     # embedding of the folded space: folded fundamental coweight of an orbit
     # goes to the sum of the big fundamental coweights over the orbit
-    cols = []
-    for orbit in orbits:
-        cols.append(tuple(
-            Fraction(1 if i in orbit else 0) for i in range(dim)))
-    for kk in range(datum.rank_central):
-        cols.append(tuple(
-            Fraction(1 if i == n + kk else 0) for i in range(dim)))
-    embed = tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(dim))
+    embed = tuple(
+        tuple(Fraction(1 if i in orbit else 0) for orbit in orbits)
+        + tuple(Fraction(1 if i == n + kk else 0) for kk in range(datum.rank_central))
+        for i in range(datum.dim))
 
-    return Folding(datum, perm, small, tuple(orbits), c_by_index, embed, sigma)
+    return Folding(datum, perm, small, tuple(orbits), c_by_index, embed)

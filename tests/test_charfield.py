@@ -279,8 +279,6 @@ def test_filter_matches_exponent_exclusion(q):
 
 
 def test_filter_input_validation():
-    with pytest.raises(ValueError, match="split"):
-        cuspidal_filter_check(2, 5, (1, 0), (2, 0), split=False)
     with pytest.raises(ValueError, match="rank at least one"):
         cuspidal_filter_check(1, 5, (1,), (2,))
     with pytest.raises(ValueError, match="prime power"):

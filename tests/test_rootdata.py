@@ -201,8 +201,28 @@ def test_fold_projection_embeds_back():
     f = fold(build_root_datum("A3"), (2, 1, 0))
     for v_small in itertools.product((-2, 0, 1), repeat=2):
         v = matvec(f.embed, v_small)
-        assert f.sigma_vector(v) == v
+        assert all(v[i] == v[orbit[0]] for orbit in f.orbits for i in orbit)
         assert f.project_vector(v) == tuple(map(Fraction, v_small))
+
+
+@pytest.mark.parametrize("kind, perm", [("A3", (2, 1, 0)), ("D4", (2, 1, 3, 0))],
+                         ids=["A3-to-C2", "D4-to-G2"])
+def test_weyl_correspondence_is_a_sigma_fixed_isomorphism(kind, perm):
+    f = fold(build_root_datum(kind), perm)
+    big, small = f.big.weyl, f.small.weyl
+    corr = {s: f.weyl_correspondence[s.index] for s in small.elements}
+    for s, t in itertools.product(small.elements, repeat=2):
+        assert corr[small.mult(s, t)] == big.mult(corr[s], corr[t])
+    # sigma permutes the coweight coordinates, so w commutes with it exactly
+    # when its matrix is invariant under permuting rows and columns by perm
+    n = len(perm)
+    for w in corr.values():
+        assert all(w.matrix[perm[i]][perm[j]] == w.matrix[i][j]
+                   for i in range(n) for j in range(n))
+    for s in small.elements:
+        for u in itertools.product((-1, 0, 2), repeat=f.small.dim):
+            v = matvec(f.embed, u)
+            assert f.project_vector(big.act(corr[s], v)) == small.act(s, f.project_vector(v))
 
 
 def test_fold_rejects_bad_permutations():
@@ -211,6 +231,4 @@ def test_fold_rejects_bad_permutations():
         fold(datum, (1, 0, 2))  # does not preserve the Cartan matrix
     with pytest.raises(FoldingError):
         fold(datum, (0, 0, 1))  # not a permutation
-    with pytest.raises(FoldingError):
-        fold(datum, (2, 1, 0), order=3)  # wrong declared order
 
