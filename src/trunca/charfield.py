@@ -10,7 +10,10 @@ multiplicity one are assembled from those exact cyclotomic values.
 The additive (Lie-algebra) side genuinely requires field arithmetic,
 because Frobenius is not a scalar there: :class:`LieTorusModel` builds
 ``F_{q^l}`` from the deterministic least irreducible polynomial and pairs
-it with itself through the absolute trace.
+it with itself through the absolute trace.  :class:`FiniteField` computes
+on element indices with log/antilog tables of a primitive element and a
+tabulated trace, so a product is one addition of logarithms and a trace
+one lookup; polynomial products only build those tables.
 
 No floating point anywhere; rationality of every reduced sum is asserted,
 never assumed.
@@ -58,12 +61,13 @@ def _is_prime(n: int) -> bool:
 
 
 def _poly_mod(a, b, p):
-    """Remainder of a modulo b over F_p; b need not be monic here, but is."""
-    a = list(a)
+    """Remainder of a modulo b over F_p, every coefficient in 0..p-1; b need
+    not be monic here, but is."""
+    a = [c % p for c in a]
     db, lead = len(b) - 1, b[-1]
     inv = pow(lead, -1, p)
     while len(a) - 1 >= db and any(a):
-        while a and a[-1] % p == 0:
+        while a and a[-1] == 0:
             a.pop()
         if len(a) - 1 < db:
             break
@@ -99,7 +103,17 @@ def _least_irreducible(p: int, e: int) -> tuple:
 
 
 class FiniteField:
-    """F_{p^e} = F_p[x] / (least irreducible), elements as coefficient tuples.
+    """F_{p^e} = F_p[x] / (least irreducible), computed on log/antilog tables.
+
+    The public element form is the coefficient tuple ``(c_0, ..., c_{e-1})``
+    of ``c_0 + c_1 x + ... + c_{e-1} x^(e-1)``.  Inside, an element is its
+    index ``sum_k c_k p^(e-1-k)`` in ``0..p^e - 1``, so index order is the
+    lexicographic order of :meth:`elements`.  The first use builds
+    :meth:`tables` (Lidl-Niederreiter, *Finite Fields*, ch. 2): the powers
+    of a primitive element and their logarithms, which turn a product into
+    a sum of logarithms, and the trace of every element, which is F_p-linear
+    and so fixed by the traces of the power basis.  Addition is
+    coefficientwise and needs no table.
 
     >>> k = FiniteField(2, 3)            # modulus x^3 + x^2 + 1
     >>> k.mul((0, 1, 0), (0, 0, 1))      # x * x^2 = x^3 = x^2 + 1
@@ -119,6 +133,7 @@ class FiniteField:
         self.modulus = _least_irreducible(p, e)
         self.zero = (0,) * e
         self.one = (1,) + (0,) * (e - 1)
+        self._tables = None
 
     def element(self, coeffs) -> tuple:
         coeffs = tuple(int(c) % self.p for c in coeffs)
@@ -130,6 +145,77 @@ class FiniteField:
         """All field elements, lexicographically by coefficient tuple."""
         return itertools.product(range(self.p), repeat=self.e)
 
+    def index(self, a) -> int:
+        """The index of a coefficient tuple."""
+        i = 0
+        for c in self.element(a):
+            i = i * self.p + c
+        return i
+
+    def coeffs(self, i: int) -> tuple:
+        """The coefficient tuple of an index."""
+        out = [0] * self.e
+        for k in range(self.e - 1, -1, -1):
+            i, out[k] = divmod(i, self.p)
+        return tuple(out)
+
+    def tables(self):
+        """``(antilog, log, trace)`` as lists over indices, built on first use.
+
+        ``antilog[k]`` is the index of ``g^k`` for ``k < p^e - 1``, where g
+        is the first primitive element in index order; ``log`` inverts it
+        (``log[0]`` is None); ``trace[i]`` is the absolute trace of element
+        i.  Only this build multiplies polynomials.
+        """
+        if self._tables is None:
+            self._tables = self._build_tables()
+        return self._tables
+
+    def _build_tables(self):
+        p, e, n = self.p, self.e, self.order - 1
+        full = list(self.modulus) + [1]
+
+        def mul(a, b):
+            raw = [0] * (2 * e - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    raw[i + j] += x * y
+            rem = _poly_mod(raw, full, p)[:e]  # zero keeps its raw length
+            return tuple(rem) + (0,) * (e - len(rem))
+
+        # the first nonzero g whose powers reach every nonzero element
+        for g in itertools.islice(self.elements(), 1, None):
+            powers, term = [self.one], g
+            while term != self.one:
+                powers.append(term)
+                term = mul(term, g)
+            if len(powers) == n:
+                break
+        else:  # pragma: no cover
+            raise ConsistencyError(f"F_{self.order}* has no generator")
+        antilog = [self.index(a) for a in powers]
+        log = [None] * self.order
+        for k, i in enumerate(antilog):
+            log[i] = k
+
+        # Tr(x^k) = sum over i < e of (x^k)^(p^i), by repeated products
+        basis_trace = []
+        for k in range(e):
+            term = tuple(int(j == k) for j in range(e))
+            total = self.zero
+            for _ in range(e):
+                total = self.add(total, term)
+                frob = term
+                for _ in range(p - 1):
+                    frob = mul(frob, term)
+                term = frob
+            if any(total[1:]):
+                raise ConsistencyError("trace landed outside the prime field")
+            basis_trace.append(total[0])
+        trace = [sum(c * t for c, t in zip(a, basis_trace)) % p
+                 for a in self.elements()]
+        return antilog, log, trace
+
     def add(self, a, b) -> tuple:
         return tuple((x + y) % self.p for x, y in zip(a, b, strict=True))
 
@@ -137,34 +223,26 @@ class FiniteField:
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b) -> tuple:
-        raw = [0] * (2 * self.e - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    raw[i + j] += x * y
-        full = list(self.modulus) + [1]
-        rem = _poly_mod(raw, full, self.p)
-        rem = rem[:self.e]  # an all-zero remainder keeps its raw length
-        return tuple(rem) + (0,) * (self.e - len(rem))
+        antilog, log, _ = self.tables()
+        i, j = self.index(a), self.index(b)
+        if not i or not j:
+            return self.zero
+        return self.coeffs(antilog[(log[i] + log[j]) % (self.order - 1)])
 
     def power(self, a, n: int) -> tuple:
-        out, base = self.one, a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        if n < 0:
+            raise ValueError("negative exponent")
+        antilog, log, _ = self.tables()
+        i = self.index(a)
+        if not n:
+            return self.one
+        if not i:
+            return self.zero
+        return self.coeffs(antilog[log[i] * n % (self.order - 1)])
 
     def trace(self, a) -> int:
         """Absolute trace down to the prime field, as an integer mod p."""
-        total, term = self.zero, a
-        for _ in range(self.e):
-            total = self.add(total, term)
-            term = self.power(term, self.p)
-        if any(total[1:]):
-            raise ConsistencyError("trace landed outside the prime field")
-        return total[0]
+        return self.tables()[2][self.index(a)]
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +456,20 @@ class LieTorusModel:
         _, e = factor_prime_power(q)
         self.field = FiniteField(self.p, e * l)
 
+    def _orbit(self, i: int) -> tuple:
+        """The Frobenius orbit i, i^q, ..., i^(q^(l-1)) of an element index."""
+        if not i:
+            return (0,) * self.l
+        antilog, log, _ = self.field.tables()
+        n = self.field.order - 1
+        return tuple(antilog[log[i] * self.q ** k % n] for k in range(self.l))
+
     def orbit(self, x) -> tuple:
-        out, term = [], x
-        for _ in range(self.l):
-            out.append(term)
-            term = self.field.power(term, self.q)
-        return tuple(out)
+        return tuple(map(self.field.coeffs, self._orbit(self.field.index(x))))
 
     def regular_character(self, x) -> bool:
         """Frobenius orbit of the induced character has size l."""
-        return len(set(self.orbit(x))) == self.l
+        return len(set(self._orbit(self.field.index(x)))) == self.l
 
 
 def lie_char_sum(model: LieTorusModel, x_lambda, x_mu):
@@ -407,17 +489,15 @@ def lie_char_sum(model: LieTorusModel, x_lambda, x_mu):
         if not model.regular_character(x):
             raise ValueError(f"additive character {x} is not regular")
     orbit_l, orbit_m = model.orbit(x_lambda), model.orbit(x_mu)
-    for a in orbit_l:
-        for b in orbit_m:
-            if f.add(a, b) == f.zero:
-                raise ValueError("a product of orbit characters is trivial")
+    sums = [f.index(f.add(a, b)) for a in orbit_l for b in orbit_m]
+    if 0 in sums:
+        raise ValueError("a product of orbit characters is trivial")
+    antilog, log, trace = f.tables()
+    n = f.order - 1
     counts = [0] * model.p
-    for s in f.elements():
-        if s == f.zero:
-            continue
-        for a in orbit_l:
-            for b in orbit_m:
-                counts[f.trace(f.mul(f.add(a, b), s))] += 1
+    for c in sums:
+        for s in range(1, f.order):
+            counts[trace[antilog[(log[c] + log[s]) % n]]] += 1
     total = _reduce_to_integer(model.p, counts, "additive sum")
     return total, Fraction(-total, model.l * model.m)
 
@@ -429,14 +509,13 @@ def regular_pair(model: LieTorusModel):
     ((0, 1), (1, 1))
     """
     f = model.field
-    first = next(x for x in f.elements() if model.regular_character(x))
-    orbit_first = model.orbit(first)
-    for y in f.elements():
-        if not model.regular_character(y):
-            continue
-        if all(f.add(a, b) != f.zero
-               for a in orbit_first for b in model.orbit(y)):
-            return first, y
+    regular = [orbit for orbit in map(model._orbit, range(f.order))
+               if len(set(orbit)) == model.l]
+    # an orbit sum a + b is zero exactly when b = -a
+    negated = {f.index(f.neg(f.coeffs(a))) for a in regular[0]}
+    for orbit in regular:
+        if negated.isdisjoint(orbit):
+            return f.coeffs(regular[0][0]), f.coeffs(orbit[0])
     raise ValueError("no admissible additive character pair exists")  # pragma: no cover
 
 

@@ -335,8 +335,11 @@ def cmd_slltrace(config: RunConfig) -> int:
     if config.theta_lambda is None or config.theta_mu is None:
         raise ConfigError("slltrace needs --theta-lambda and --theta-mu "
                           "(or --sweep)")
-    row = _sll_row(torus, int(config.theta_lambda) % torus.m,
-                   int(config.theta_mu) % torus.m)
+    try:  # str() first, so a JSON 1.5 in a config file is refused too
+        ka, kb = int(str(config.theta_lambda)), int(str(config.theta_mu))
+    except ValueError as exc:
+        raise ConfigError(f"character exponents must be integers: {exc}") from exc
+    row = _sll_row(torus, ka % torus.m, kb % torus.m)
     _emit(row, config)
     return 0
 

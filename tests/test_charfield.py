@@ -3,15 +3,19 @@
 Small cases are fully enumerable, so the oracles here are literal: orbit
 sums evaluated as root-of-unity counting loops written out below, torus
 bookkeeping recomputed from scratch (m = (q^l - 1)/(q - 1), centre order
-gcd(l, q - 1)), and the rank-one filter compared against the two-sided
-exponent exclusion it is supposed to implement.
+gcd(l, q - 1)), finite-field arithmetic as schoolbook polynomial products
+reduced by the field's modulus, and the rank-one filter compared against
+the two-sided exponent exclusion it is supposed to implement.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trunca.charfield import (
     FiniteField,
@@ -189,22 +193,100 @@ def test_slltrace_suite_sums_each_pair_once(monkeypatch):
 # -- the additive side ----------------------------------------------------------------
 
 
+def _poly_mul(f, a, b):
+    """Schoolbook product in f, reduced by f.modulus, every coefficient mod p."""
+    e = f.e
+    raw = [0] * (2 * e - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            raw[i + j] += x * y
+    # x^e = -(c_0 + c_1 x + ... + c_{e-1} x^(e-1)), folded from the top down
+    for k in range(2 * e - 2, e - 1, -1):
+        for j, c in enumerate(f.modulus):
+            raw[k - e + j] -= raw[k] * c
+    return tuple(c % f.p for c in raw[:e])
+
+
+def _poly_pow(f, a, n):
+    out = f.one
+    for _ in range(n):
+        out = _poly_mul(f, out, a)
+    return out
+
+
+def _poly_trace(f, a):
+    """a + a^p + ... + a^(p^(e-1)), which must land in the prime field."""
+    total, term = [0] * f.e, a
+    for _ in range(f.e):
+        total = [(s + t) % f.p for s, t in zip(total, term)]
+        term = _poly_pow(f, term, f.p)
+    assert not any(total[1:])
+    return total[0]
+
+
+def _poly_orbit(model, x):
+    out = [tuple(x)]
+    for _ in range(model.l - 1):
+        out.append(_poly_pow(model.field, out[-1], model.q))
+    return out
+
+
 def _additive_sum_oracle(model, x, y):
-    """Direct count of trace exponents; rational reduction by hand.
+    """Direct count of trace exponents in schoolbook arithmetic; rational
+    reduction by hand.
 
     Over the prime field the value is c_0 - c_1 once all nonzero trace
     classes carry equal counts (true whenever the total is an integer).
     """
     f = model.field
+    sums = [tuple((u + v) % f.p for u, v in zip(a, b))
+            for a in _poly_orbit(model, x) for b in _poly_orbit(model, y)]
     counts = [0] * model.p
     for s in f.elements():
-        if s == f.zero:
+        if not any(s):
             continue
-        for a in model.orbit(x):
-            for b in model.orbit(y):
-                counts[f.trace(f.mul(f.add(a, b), s))] += 1
+        for c in sums:
+            counts[_poly_trace(f, _poly_mul(f, c, s))] += 1
     assert len(set(counts[1:])) == 1
     return counts[0] - counts[1]
+
+
+SMALL_FIELDS = [(p, e) for p in range(2, 65) for e in range(1, 7)
+                if p ** e <= 64 and all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("p,e", SMALL_FIELDS)
+def test_tables_match_schoolbook_arithmetic(p, e):
+    f = FiniteField(p, e)
+    elements = list(f.elements())
+    assert [f.index(a) for a in elements] == list(range(f.order))
+    for a in elements:
+        assert f.neg(a) == tuple((-c) % p for c in a)
+        assert f.trace(a) == _poly_trace(f, a)
+        term = f.one
+        for n in range(f.order):
+            assert f.power(a, n) == term
+            term = _poly_mul(f, term, a)
+        for b in elements:
+            assert f.mul(a, b) == _poly_mul(f, a, b)
+
+
+def test_products_are_reduced_mod_p():
+    k = FiniteField(7, 3)
+    assert k.mul((2, 0, 0), (4, 0, 0)) == (1, 0, 0)
+    assert k.power((2, 0, 0), 3) == (1, 0, 0)
+    k32 = FiniteField(2, 5)
+    assert all(c < 2 for a in k32.elements() for b in k32.elements()
+               for c in k32.mul(a, b))
+    # elements of the prime field are fixed by Frobenius, so never regular
+    m9 = LieTorusModel(3, 2)
+    assert m9.orbit((2, 0)) == ((2, 0), (2, 0))
+    assert not m9.regular_character((2, 0))
+    m25 = LieTorusModel(5, 2)
+    for c in (2, 3, 4):
+        assert not m25.regular_character((c, 0))
+        with pytest.raises(ValueError, match="not regular"):
+            lie_char_sum(m25, (c, 0), (0, 1))
 
 
 def test_finite_field_arithmetic():
@@ -222,6 +304,8 @@ def test_finite_field_arithmetic():
         k9.element((1, 2, 0))
     with pytest.raises(ValueError, match="not prime"):
         FiniteField(4, 1)
+    with pytest.raises(ValueError, match="negative exponent"):
+        k9.power((0, 1), -1)
 
 
 def test_lie_model_orbits():
@@ -241,6 +325,33 @@ def test_additive_sum_and_orbital_constant(q, l):
     assert total == _additive_sum_oracle(model, x, y)
     assert total == -l * l
     assert orbital == Fraction(l * (q - 1), q**l - 1)
+
+
+@functools.cache
+def _regular_orbits(q, l):
+    """The model and the schoolbook orbit of each of its regular elements."""
+    model = LieTorusModel(q, l)
+    orbits = {x: _poly_orbit(model, x) for x in model.field.elements()}
+    return model, {x: o for x, o in orbits.items() if len(set(o)) == l}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_lie_char_sum_on_admissible_pairs(data):
+    q, l = data.draw(st.sampled_from(SWEEP + ((3, 5),)))
+    model, regular = _regular_orbits(q, l)
+    f = model.field
+    x = data.draw(st.sampled_from(sorted(regular)))
+    # admissible: no orbit sum a + b is zero, that is no b equals some -a
+    negated = {f.neg(a) for a in regular[x]}
+    y = data.draw(st.sampled_from(
+        [y for y in sorted(regular) if negated.isdisjoint(regular[y])]))
+    assert model.orbit(x) == tuple(regular[x])
+    total, orbital = lie_char_sum(model, x, y)
+    assert total == -l * l
+    assert orbital == Fraction(l * (q - 1), q**l - 1)
+    if f.order <= 64:
+        assert total == _additive_sum_oracle(model, x, y)
 
 
 def test_regular_pair_frozen_values():

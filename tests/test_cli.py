@@ -182,6 +182,8 @@ def test_config_file(tmp_path, capsys):
     ("filtercheck", "--group", "SL2", "--q", "6",
      "--theta-lambda", "1", "--theta-mu", "2"),
     ("verify", "--suite", "refinement", "--samples", "-1"),
+    ("slltrace", "--q", "2", "--l", "3", "--theta-lambda", "x", "--theta-mu", "1"),
+    ("slltrace", "--q", "2", "--l", "3", "--theta-lambda", "1.5", "--theta-mu", "1"),
 ])
 def test_invalid_configuration_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
