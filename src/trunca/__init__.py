@@ -17,7 +17,6 @@ from .charfield import (
     char_sum_regular,
     contragredient_test,
     cuspidal_filter_check,
-    dl_torus_value,
     general_position,
     lie_char_sum,
     regular_pair,
@@ -36,7 +35,6 @@ from .parabolic import (
     enumerate_standard,
     projector_to_aP,
     relative_weight,
-    xi_general_position,
 )
 from .polyhedra import (
     ComplementaryPolyhedron,
@@ -44,7 +42,6 @@ from .polyhedra import (
     canonical_refinement,
     degree,
     generate,
-    is_admissible,
     is_semistable,
     project_polyhedron,
     random_polyhedron,
@@ -95,7 +92,6 @@ __all__ = [
     "enumerate_standard",
     "projector_to_aP",
     "relative_weight",
-    "xi_general_position",
     "SupportBox",
     "TruncationContext",
     "ComplementaryPolyhedron",
@@ -103,7 +99,6 @@ __all__ = [
     "canonical_refinement",
     "degree",
     "generate",
-    "is_admissible",
     "is_semistable",
     "project_polyhedron",
     "random_polyhedron",
@@ -126,7 +121,6 @@ __all__ = [
     "char_sum_regular",
     "contragredient_test",
     "cuspidal_filter_check",
-    "dl_torus_value",
     "general_position",
     "lie_char_sum",
     "regular_pair",

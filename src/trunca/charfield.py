@@ -229,17 +229,6 @@ class FiniteField:
             return self.zero
         return self.coeffs(antilog[(log[i] + log[j]) % (self.order - 1)])
 
-    def power(self, a, n: int) -> tuple:
-        if n < 0:
-            raise ValueError("negative exponent")
-        antilog, log, _ = self.tables()
-        i = self.index(a)
-        if not n:
-            return self.one
-        if not i:
-            return self.zero
-        return self.coeffs(antilog[log[i] * n % (self.order - 1)])
-
     def trace(self, a) -> int:
         """Absolute trace down to the prime field, as an integer mod p."""
         return self.tables()[2][self.index(a)]
@@ -281,9 +270,6 @@ class TorusCharacter:
 
     torus: NormOneTorus
     exponent: int
-
-    def frobenius_twist(self) -> "TorusCharacter":
-        return self.torus.character(self.exponent * self.torus.q)
 
     def __repr__(self):
         return f"TorusCharacter(k={self.exponent} mod {self.torus.m})"
@@ -370,22 +356,6 @@ def central_character_ok(theta_lambda: TorusCharacter, theta_mu: TorusCharacter)
     if shortcut != direct:  # pragma: no cover
         raise ConsistencyError("central restriction disagrees with divisibility")
     return shortcut
-
-
-def dl_torus_value(theta: TorusCharacter, s: int) -> CyclotomicNumber:
-    """Sum of the character's Frobenius orbit at the torus element ``s``.
-
-    >>> t = build_torus(3, 2)
-    >>> dl_torus_value(t.character(1), 1).is_zero()
-    True
-    >>> dl_torus_value(t.character(0), 1).as_rational()
-    Fraction(2, 1)
-    """
-    t = theta.torus
-    counts = [0] * t.m
-    for i in range(1, t.l + 1):
-        counts[t.q ** i * theta.exponent * s % t.m] += 1
-    return CyclotomicNumber.from_exponent_counts(t.m, counts)
 
 
 def _reduce_to_integer(order: int, counts, what: str) -> int:

@@ -335,8 +335,8 @@ def cmd_slltrace(config: RunConfig) -> int:
     if config.theta_lambda is None or config.theta_mu is None:
         raise ConfigError("slltrace needs --theta-lambda and --theta-mu "
                           "(or --sweep)")
-    try:  # str() first, so a JSON 1.5 in a config file is refused too
-        ka, kb = int(str(config.theta_lambda)), int(str(config.theta_mu))
+    try:
+        ka, kb = int(config.theta_lambda), int(config.theta_mu)
     except ValueError as exc:
         raise ConfigError(f"character exponents must be integers: {exc}") from exc
     row = _sll_row(torus, ka % torus.m, kb % torus.m)
@@ -357,7 +357,10 @@ def cmd_filtercheck(config: RunConfig) -> int:
         raise ConfigError("filtercheck needs --theta-lambda and --theta-mu")
 
     def exps(text):
-        vals = parse_vector(text)
+        try:
+            vals = parse_vector(text)
+        except ValueError as exc:
+            raise ConfigError(f"character exponents: {exc}") from exc
         if len(vals) == 1 and n == 2:
             vals = (vals[0], Fraction(0))
         if len(vals) != n or any(v.denominator != 1 for v in vals):
@@ -482,6 +485,28 @@ COMMANDS = {
 }
 
 
+def _config_value(action, value):
+    """A config file value, read as its flag would read it: a switch takes
+    a JSON boolean, an integer flag a JSON integer, and any flag a string,
+    which is its command-line text."""
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, str):
+        try:
+            parsed = action.type(value) if action.type else value
+        except ValueError as exc:
+            raise ConfigError(f"config key {action.dest!r}: {exc}") from exc
+        if action.choices and parsed not in action.choices:
+            raise ConfigError(f"config key {action.dest!r}: {value!r} is not "
+                              f"one of {list(action.choices)}")
+        return parsed
+    elif action.type is int and type(value) is int:
+        return value
+    raise ConfigError(f"config key {action.dest!r} has the wrong JSON type: "
+                      f"{json.dumps(value)}")
+
+
 def _load_config(parser_for_cmd, argv, ns):
     """Apply --config file values as defaults and re-parse so explicit
     flags keep priority."""
@@ -489,11 +514,12 @@ def _load_config(parser_for_cmd, argv, ns):
         values = json.load(fh)
     if not isinstance(values, dict):
         raise ConfigError("config file must hold a JSON object")
-    known = {a.dest for a in parser_for_cmd._actions}
-    unknown = set(values) - known
+    actions = {a.dest: a for a in parser_for_cmd._actions}
+    unknown = set(values) - set(actions)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    parser_for_cmd.set_defaults(**values)
+    parser_for_cmd.set_defaults(**{key: _config_value(actions[key], value)
+                                   for key, value in values.items()})
     merged = parser_for_cmd.parse_args(argv[1:])
     merged.command = ns.command
     return merged

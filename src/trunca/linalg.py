@@ -7,9 +7,8 @@ point anywhere.  The sizes involved are tiny (ambient dimension <= 8), so
 the implementations are straightforward textbook ones; clarity wins over
 asymptotics.
 
-The integer half (Smith normal form, integral solving) backs the lattice
-computations: quotient structure of one lattice inside another and
-membership of a vector in an integral span.
+The integer half is the Smith normal form, which backs the lattice
+computations: the quotient structure of one lattice inside another.
 
 >>> mat_inverse(((Fraction(2), Fraction(-1)), (Fraction(-1), Fraction(2))))
 ((Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 3), Fraction(2, 3)))
@@ -165,9 +164,9 @@ def scaled_int_vec(v, scale) -> tuple[int, ...]:
 
 # --- integer normal forms -------------------------------------------------
 #
-# Conventions: everything below takes matrices of machine ints.  smith
-# returns its transforms as full matrices, so callers can push coordinates
-# around without re-deriving them.
+# Conventions: integer_smith takes a matrix of machine ints and returns
+# its transforms as full matrices, so callers can push coordinates around
+# without re-deriving them.
 
 
 def _swap_rows(m, i, j):
@@ -259,46 +258,6 @@ def integer_smith(m):
         k += 1
     d = tuple(a[i][i] if i < ncols else 0 for i in range(min(nrows, ncols)))
     return d, tuple(map(tuple, u)), tuple(map(tuple, v))
-
-
-def integer_solve(m, b):
-    """One integral solution x of m x = b, or None.
-
-    >>> integer_solve(((2, 1), (0, 3)), (1, 3))
-    (0, 1)
-    >>> integer_solve(((2, 0), (0, 2)), (1, 0)) is None
-    True
-    """
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    d, u, v = integer_smith(m)
-    c = [sum(u[i][j] * b[j] for j in range(nrows)) for i in range(nrows)]
-    y = [0] * ncols
-    for i in range(nrows):
-        di = d[i] if i < len(d) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di != 0:
-                return None
-            if i < ncols:
-                y[i] = c[i] // di
-    return tuple(sum(v[i][j] * y[j] for j in range(ncols)) for i in range(ncols))
-
-
-def in_integer_span(vectors, target):
-    """Is target an integer combination of the given integer vectors?
-
-    >>> in_integer_span([(2, 0), (1, 1)], (3, 1))
-    True
-    >>> in_integer_span([(2, 0)], (1, 0))
-    False
-    """
-    if not vectors:
-        return all(x == 0 for x in target)
-    m = tuple(zip(*vectors, strict=True))  # columns are the given vectors
-    return integer_solve(m, tuple(target)) is not None
 
 
 def gram_det(m) -> Fraction:

@@ -22,15 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import (
-    identity_matrix,
-    in_integer_span,
-    lcm_den,
-    mat_inverse,
-    matmul,
-    matvec,
-    scaled_int_vec,
-)
+from .linalg import identity_matrix, mat_inverse, matmul
 from .rootdata import RootDatum, WeylElement
 
 
@@ -58,9 +50,6 @@ class SemiStandardParabolic:
 
     subset: tuple[int, ...]
     rep: WeylElement
-
-    def is_standard(self) -> bool:
-        return self.rep.length == 0
 
     def __repr__(self):
         return f"SemiStandardParabolic(subset={self.subset}, rep={self.rep.label})"
@@ -139,35 +128,3 @@ def relative_weight(datum: RootDatum, q_subset, j):
     for pos, k in enumerate(q):
         cov[k] = row[pos]
     return tuple(cov)
-
-
-def xi_general_position(datum: RootDatum, xi, lattice=None) -> bool:
-    """Is the point ``xi`` in general position for the given coweight lattice?
-
-    True iff for every proper standard parabolic P, the ``a_P``-component of
-    ``xi`` avoids (image of the lattice in ``a_P``) + ``a_G``.  The default
-    lattice is spanned by the simple coroots and the central basis.
-
-    >>> from trunca.rootdata import build_root_datum
-    >>> d = build_root_datum("A1")
-    >>> xi_general_position(d, (Fraction(1, 2),))  # half a coweight
-    True
-    >>> xi_general_position(d, (2,))  # the simple coroot itself
-    False
-    >>> xi_general_position(d, (0,))
-    False
-    """
-    if lattice is None:
-        lattice = tuple(datum.simple_coroots) + tuple(datum.central_basis)
-    n = datum.rank_ss
-    for subset in enumerate_standard(datum)[:-1]:  # the last one is G itself
-        proj = projector_to_aP(datum, subset)
-        # work modulo a_G: the central coordinates span it exactly
-        target = matvec(proj, xi)[:n]
-        gens = [matvec(proj, b)[:n] for b in lattice]
-        scale = lcm_den([x for g in gens for x in g] + list(target))
-        int_gens = [scaled_int_vec(g, scale) for g in gens]
-        int_target = scaled_int_vec(target, scale)
-        if in_integer_span(int_gens, int_target):
-            return False
-    return True

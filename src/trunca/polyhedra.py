@@ -43,23 +43,9 @@ class ComplementaryPolyhedron:
         self.vertices = vertices
         self._transported = None
 
-    @classmethod
-    def from_mapping(cls, datum: RootDatum, mapping):
-        """Build from a dict keyed by reduced words ("e", "1", "121", ...)."""
-        vertices = []
-        for w in datum.weyl.elements:
-            key = w.label
-            if key not in mapping:
-                raise ValueError(f"missing vertex for Weyl element {key!r}")
-            vertices.append(mapping[key])
-        return cls(datum, vertices)
-
     def to_mapping(self):
         return {w.label: list(self.vertices[w.index])
                 for w in self.datum.weyl.elements}
-
-    def vertex(self, w: WeylElement):
-        return self.vertices[w.index]
 
     def transported(self):
         """s(X_s) for every chamber s, the quantity every facet reads."""
@@ -166,19 +152,20 @@ def generate(datum: RootDatum, points, weights, shift=None) -> ComplementaryPoly
     return cp
 
 
-def random_polyhedron(datum: RootDatum, seed, max_points: int = 3,
+def random_polyhedron(datum: RootDatum, seed,
                       require_wall_free: bool = True) -> ComplementaryPolyhedron:
     """A seeded random polyhedron from the antidominant-family generator.
 
-    Vertices are drawn off the small-denominator lattice (random sevenths /
-    elevenths / thirteenths offsets), and by default are rejection-sampled
+    Each draw takes zero to three antidominant points with their weights
+    and a shift, all off the small-denominator lattice (random sevenths /
+    elevenths / thirteenths offsets); by default draws are rejection-sampled
     until no facet functional vanishes on any transported vertex.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     n = datum.rank_ss
     for _ in range(200):
         den = rng.choice((7, 11, 13))
-        k = rng.randint(0, max_points)
+        k = rng.randint(0, 3)
         points = []
         for _ in range(k):
             y = [-(rng.randint(0, 4) + Fraction(rng.randint(1, den - 1), den))
@@ -331,15 +318,15 @@ def is_semistable(cp: ComplementaryPolyhedron, facet: SemiStandardParabolic,
     return True
 
 
-def canonical_refinement(cp: ComplementaryPolyhedron, q_subset=None,
-                         cross_check: bool = True) -> SemiStandardParabolic:
+def canonical_refinement(cp: ComplementaryPolyhedron,
+                         q_subset=None) -> SemiStandardParabolic:
     """The unique largest facet of maximal degree inside the parabolic.
 
     Enumerates every semi-standard facet contained in Q, takes the set of
     maximal degree, and returns its unique largest element under inclusion.
-    With ``cross_check`` the result is verified to be semistable and to see
-    strictly positive relative simple roots, the two clauses that
-    characterize the refinement; any failure raises
+    It always cross-checks the result against the two clauses that
+    characterize the refinement, semistability and strictly positive
+    relative simple roots; any failure raises
     :class:`~trunca.errors.ConsistencyError`.
 
     >>> from trunca.rootdata import build_root_datum
@@ -374,16 +361,15 @@ def canonical_refinement(cp: ComplementaryPolyhedron, q_subset=None,
             f"(expected exactly one): {best_set}")
     facet = largest[0]
 
-    if cross_check:
-        if not is_semistable(cp, facet, q_subset):
-            raise ConsistencyError(f"refinement {facet} is not semistable")
-        point = trans[facet.rep.index]
-        for j in q_subset:
-            if j not in facet.subset:
-                if dot(tab.ctx.proj_covector(facet.subset, j), point) <= 0:
-                    raise ConsistencyError(
-                        f"refinement {facet} fails strict positivity at "
-                        f"relative root {j}")
+    if not is_semistable(cp, facet, q_subset):
+        raise ConsistencyError(f"refinement {facet} is not semistable")
+    point = trans[facet.rep.index]
+    for j in q_subset:
+        if j not in facet.subset:
+            if dot(tab.ctx.proj_covector(facet.subset, j), point) <= 0:
+                raise ConsistencyError(
+                    f"refinement {facet} fails strict positivity at "
+                    f"relative root {j}")
     return facet
 
 
@@ -409,34 +395,6 @@ def semistability_indicator(cp: ComplementaryPolyhedron) -> int:
         raise ConsistencyError(
             f"indicator {total} disagrees with refinement {ref}")
     return total
-
-
-def is_admissible(datum: RootDatum, xi, x, f: int) -> bool:
-    """The inequality regime under which refinements behave: the slack
-    d(X) = min <alpha, X> over simple roots must be non-negative, and every
-    positive reduced root must see xi inside [-d/f, d/f + f].
-
-    >>> from trunca.rootdata import build_root_datum
-    >>> d = build_root_datum("A1")
-    >>> is_admissible(d, (0,), (0,), 1)
-    True
-    >>> is_admissible(d, (0,), (-2,), 1)
-    False
-    """
-    if f < 1:
-        raise ValueError("f must be a positive integer")
-    n = datum.rank_ss
-    if n == 0:
-        return True
-    d_x = min(frac(x[i]) for i in range(n))
-    if d_x < 0:
-        return False
-    lo, hi = -d_x / f, d_x / f + f
-    for r in datum.positive_roots(reduced_only=True):
-        val = dot(r.cov, xi)
-        if not lo <= val <= hi:
-            return False
-    return True
 
 
 def project_polyhedron(cp: ComplementaryPolyhedron,

@@ -163,14 +163,11 @@ class LatticeSpec:
 
     ``basis`` spans a full-rank lattice in the semisimple part of the
     coordinate subspace attached to ``subset``; ``base_point`` shifts every
-    lattice point before the profile is evaluated.  ``x_basis`` is the
-    lattice the parameter ``X`` will range over (default: fundamental
-    coweights plus the central basis).  ``denominator`` bounds the lattice
-    against the mixed coroot/coweight lattices that the generating-function
-    route works in; pass ``None`` to have the minimal one computed.  Either
-    way it is verified, and a declared value that fails verification raises
-    :class:`LatticeError`.  ``multiplicity`` is a constant prefactor applied
-    by every evaluation route.
+    lattice point before the profile is evaluated.  The parameter ``X``
+    ranges over the lattice ``x_basis``: the fundamental coweights plus the
+    central basis.  ``denominator`` is the least integer that clears every
+    pairing the generating-function route takes: the adapted bases' duals
+    against ``basis``, and the fundamental weights against ``x_basis``.
 
     >>> from .rootdata import build_root_datum
     >>> d = build_root_datum([[2]])
@@ -179,8 +176,7 @@ class LatticeSpec:
     2
     """
 
-    def __init__(self, datum: RootDatum, subset, basis, base_point=None,
-                 x_basis=None, denominator=None, multiplicity=1):
+    def __init__(self, datum: RootDatum, subset, basis, base_point=None):
         self.datum = datum
         self.subset = _norm_subset(datum, subset)
         n = len(datum.cartan)
@@ -207,15 +203,10 @@ class LatticeSpec:
         if any(self.base_point[i] != 0 for i in self.subset):
             raise LatticeError("base point does not lie in the coordinate subspace")
 
-        if x_basis is None:
-            x_basis = datum.fundamental_coweights + datum.central_basis
-        self.x_basis = tuple(vec(x) for x in x_basis)
-        if len(self.x_basis) != dim or rank(self.x_basis) != dim:
-            raise LatticeError("x_basis must be a basis of the whole space")
+        self.x_basis = tuple(vec(x) for x in
+                             datum.fundamental_coweights + datum.central_basis)
         self._x_mat_inv = mat_inverse(
             tuple(tuple(x[i] for x in self.x_basis) for i in range(dim)))
-
-        self.multiplicity = frac(multiplicity)
         self._ctx = TruncationContext(datum)
 
         if self.rank:
@@ -241,14 +232,7 @@ class LatticeSpec:
         for j in rest:
             for x in self.x_basis:
                 dens.append(dot(datum.fundamental_weights[j], x).denominator)
-        minimal = math.lcm(*dens)
-        if denominator is None:
-            denominator = minimal
-        elif denominator % minimal:
-            raise LatticeError(
-                f"declared denominator {denominator} fails verification; "
-                f"the minimal valid value is {minimal}")
-        self.denominator = int(denominator)
+        self.denominator = math.lcm(*dens)
 
         lambda0, k_table = self._pick_direction(raw)
         self.direction = lambda0
@@ -360,9 +344,8 @@ class LatticeSpec:
                 f"denominator={self.denominator})")
 
 
-def standard_lattice_spec(datum: RootDatum, subset, base_point=None,
-                          multiplicity=1) -> LatticeSpec:
-    """The spec whose lattice is spanned by projected simple coroots.
+def standard_lattice_spec(datum: RootDatum, subset) -> LatticeSpec:
+    """The unshifted spec whose lattice is spanned by projected simple coroots.
 
     For the empty subset this is the coroot lattice itself.
 
@@ -375,8 +358,7 @@ def standard_lattice_spec(datum: RootDatum, subset, base_point=None,
     proj = ctx.projector(subset)
     basis = [matvec(proj, datum.simple_coroots[j])
              for j in range(len(datum.cartan)) if j not in subset]
-    return LatticeSpec(datum, subset, basis, base_point=base_point,
-                       multiplicity=multiplicity)
+    return LatticeSpec(datum, subset, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +385,7 @@ def brute_sum(spec: LatticeSpec, x, certify: bool = False) -> Fraction:
         raise ValueError("parameter has the wrong dimension")
     ctx = spec._ctx
     if spec.rank == 0:
-        return spec.multiplicity * ctx.gamma(spec.subset, spec.base_point, x)
+        return Fraction(ctx.gamma(spec.subset, spec.base_point, x))
     box = ctx.gamma_support_box(spec.subset, x)
     total = _sum_over_ranges(spec, x, _coordinate_ranges(spec, box, margin=0))
     if certify:
@@ -411,7 +393,7 @@ def brute_sum(spec: LatticeSpec, x, certify: bool = False) -> Fraction:
         if widened != total:
             raise ConsistencyError(
                 f"support box is not certified: {total} inside, {widened} when doubled")
-    return spec.multiplicity * total
+    return total
 
 
 def _coordinate_ranges(spec: LatticeSpec, box, margin: int):
@@ -506,7 +488,7 @@ def product_eval(spec: LatticeSpec, x) -> Fraction:
         if c:
             raise ConsistencyError(
                 f"failure to cancel all poles: eps**{i - spec.rank} survives")
-    return total[-1] * spec.multiplicity
+    return total[-1]
 
 
 # ---------------------------------------------------------------------------

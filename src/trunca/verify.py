@@ -304,12 +304,13 @@ FIT_COMBOS = (
     ("A2", (0,)), ("A2", (1,)),
     ("B2", ()), ("B2", (0,)), ("B2", (1,)),
 )
+FIT_HELDOUT = 20
 
 
-def suite_qpsum(samples: int = 50, heldout: int = 20,
-                seed: int = 0) -> list[ReportRecord]:
+def suite_qpsum(samples: int = 50, seed: int = 0) -> list[ReportRecord]:
     """Geometric-series evaluation agrees with brute lattice summation at
-    every sampled point, and the fitted quasi-polynomial law extrapolates."""
+    every sampled point, and each fitted quasi-polynomial law extrapolates
+    to ``FIT_HELDOUT`` held-out points."""
     records = []
     data = {}
     for tname, subset in QPSUM_COMBOS:
@@ -338,7 +339,7 @@ def suite_qpsum(samples: int = 50, heldout: int = 20,
             spec, [(c, brute_sum(spec, spec.x_point(c))) for c in grid])
         rng = random.Random(f"qpsum-fit:{tname}:{subset}:{seed}")
         failures = []
-        for _ in range(heldout):
+        for _ in range(FIT_HELDOUT):
             coords = tuple(rng.randint(span + 1, span + 12)
                            for _ in range(datum.dim))
             want = brute_sum(spec, spec.x_point(coords))
@@ -348,7 +349,7 @@ def suite_qpsum(samples: int = 50, heldout: int = 20,
                                 f"brute={fmt_value(want)}")
         records.append(_tally(
             "qpsum", f"qpsum/fit/{tname}/P={_pretty_subset(subset)}",
-            heldout, failures))
+            FIT_HELDOUT, failures))
     return records
 
 

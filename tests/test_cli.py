@@ -11,7 +11,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from trunca.charfield import factor_prime_power
 from trunca.cli import main
 
 
@@ -184,6 +187,8 @@ def test_config_file(tmp_path, capsys):
     ("verify", "--suite", "refinement", "--samples", "-1"),
     ("slltrace", "--q", "2", "--l", "3", "--theta-lambda", "x", "--theta-mu", "1"),
     ("slltrace", "--q", "2", "--l", "3", "--theta-lambda", "1.5", "--theta-mu", "1"),
+    ("filtercheck", "--q", "5", "--theta-lambda", "x", "--theta-mu", "1"),
+    ("filtercheck", "--q", "5", "--theta-lambda", "1/0", "--theta-mu", "1"),
 ])
 def test_invalid_configuration_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -229,6 +234,76 @@ def test_config_file_validation(tmp_path, capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "slltrace", "--config", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,values", [
+    (("gamma", "--type", "A1"), {"h": [1.5], "x": [2]}),
+    (("gamma", "--type", "A1"), {"h": 3, "x": "2"}),
+    (("qpsum", "--type", "A2", "--q", "3", "--X", "1,1"), {"p_subset": 1}),
+    (("slltrace",), {"q": 7.5, "l": 3, "sweep": True}),
+    (("filtercheck",), {"theta_lambda": [1], "theta_mu": 2, "q": 5}),
+    (("roots", "--type", "A1"), {"out_format": "xml"}),      # not a --format choice
+])
+def test_config_value_the_flag_would_refuse_exits_2(tmp_path, capsys, argv, values):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "trunca:" in err
+
+
+def _exit_code(argv):
+    """main's exit status, whether it returns it or argparse raises it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# config key: (flag, an argv that is valid as it stands)
+_FLAG_HOMES = {
+    "h": ("--H", ("gamma", "--type", "A1", "--P", "", "--H", "1/2", "--X", "2")),
+    "x": ("--X", ("qpsum", "--type", "A1", "--P", "", "--q", "3", "--X", "6")),
+    "p_subset": ("--P", ("gamma", "--type", "A2", "--P", "1", "--H", "1,1", "--X", "1,1")),
+    "q": ("--q", ("qpsum", "--type", "A1", "--P", "", "--q", "3", "--X", "6")),
+    "l": ("--l", ("slltrace", "--q", "2", "--l", "3", "--sweep")),
+    "theta_lambda": ("--theta-lambda", ("filtercheck", "--q", "5", "--theta-lambda", "1",
+                                        "--theta-mu", "2")),
+    "theta_mu": ("--theta-mu", ("slltrace", "--q", "3", "--l", "2", "--theta-lambda", "1",
+                                "--theta-mu", "3")),
+    "samples": ("--samples", ("verify", "--suite", "filtercheck", "--samples", "3")),
+}
+
+_malformed = st.one_of(
+    st.text("abcxyzQ", min_size=1, max_size=3),                 # letters
+    st.just("1/0"),
+    st.sampled_from((",", "1,", ",1", "1,,2")),                 # empty components
+    st.lists(st.integers(-3, 3), min_size=1, max_size=2).map(
+        lambda xs: "[" + ",".join(map(str, xs)) + "]"),         # bracketed lists
+)
+_not_prime_powers = st.sampled_from(
+    [str(q) for q in range(-2, 40) if factor_prime_power(q) is None])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(sorted(_FLAG_HOMES)), data=st.data())
+def test_malformed_values_exit_2(tmp_path, capsys, key, data):
+    value = data.draw(_malformed | _not_prime_powers if key == "q" else _malformed)
+    flag, home = _FLAG_HOMES[key]
+    at = home.index(flag)
+    as_flag = [*home[:at + 1], value, *home[at + 2:]]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    as_file = [*home[:at], *home[at + 2:], "--config", str(cfg)]
+    for argv in (as_flag, as_file):
+        assert _exit_code(argv) == 2, argv
+    capsys.readouterr()
+    # the valid home argv runs, and prints the same bytes every time
+    assert main(list(home)) == 0
+    first = capsys.readouterr().out
+    assert main(list(home)) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_verify_checking_nothing_fails(capsys):

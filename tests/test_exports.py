@@ -3,6 +3,7 @@
 import ast
 import doctest
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,43 @@ def test_every_import_is_used(path):
     unused = [f"{name} (line {line})" for name, line in _bound_names(tree)
               if name not in used]
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+# SupportBox.contains is how the tests check that the box covers gamma's
+# support; nothing in the program needs to ask a box about a point.
+UNREACHED_ON_PURPOSE = {"SupportBox.contains"}
+
+
+def _definitions(tree):
+    """Each top-level function and class, and each method, with its
+    qualified name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _code_references(node):
+    """Names the code under ``node`` reads, attributes included; docstrings
+    and ``__all__`` are strings, so they do not count."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_definition_is_reached():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES + sorted(BENCH.glob("*.py"))}
+    everywhere = sum((_code_references(t) for t in trees.values()), Counter())
+    unreached = []
+    for path in MODULES:
+        for qualname, node in _definitions(trees[path]):
+            if node.name.startswith("_") or qualname in UNREACHED_ON_PURPOSE:
+                continue
+            if everywhere[node.name] == _code_references(node)[node.name]:
+                unreached.append(f"{path.name}: {qualname}")
+    assert not unreached, f"nothing in src/trunca or bench/ reaches: {unreached}"

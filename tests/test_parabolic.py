@@ -13,7 +13,6 @@ from trunca.parabolic import (
     projector_to_aP,
     relative_weight,
     semistandard_contains,
-    xi_general_position,
 )
 from trunca.rootdata import build_root_datum
 from trunca.truncation import TruncationContext
@@ -130,17 +129,6 @@ def test_containment_of_semistandard_parabolics():
     count = sum(semistandard_contains(datum, p1, SemiStandardParabolic((), w))
                 for w in weyl.elements)
     assert count == 2
-
-
-def test_xi_general_position():
-    datum = build_root_datum("A1")
-    assert xi_general_position(datum, (Fraction(1, 2),))
-    assert xi_general_position(datum, (Fraction(1),))  # odd pairing: generic
-    assert not xi_general_position(datum, (Fraction(0),))
-    assert not xi_general_position(datum, (Fraction(2),))  # the coroot itself
-    # coarser lattice: the coroot drops out of the span, so it turns generic
-    assert xi_general_position(datum, (Fraction(2),),
-                               lattice=[(Fraction(4),)])
 
 
 def test_delta_pq_requires_containment():

@@ -16,14 +16,12 @@ from fractions import Fraction
 import pytest
 
 from trunca.errors import ConsistencyError
-from trunca.linalg import dot
 from trunca.parabolic import SemiStandardParabolic
 from trunca.polyhedra import (
     ComplementaryPolyhedron,
     canonical_refinement,
     degree,
     generate,
-    is_admissible,
     is_semistable,
     project_polyhedron,
     random_polyhedron,
@@ -47,17 +45,6 @@ def test_vertex_count_and_dimension_checks():
         ComplementaryPolyhedron(d, [(0, 0)] * 5)
     with pytest.raises(ValueError, match="dimension"):
         ComplementaryPolyhedron(d, [(0,)] * 6)
-
-
-def test_mapping_round_trip():
-    d = build_root_datum("A2")
-    cp = random_polyhedron(d, seed="round-trip")
-    again = ComplementaryPolyhedron.from_mapping(d, cp.to_mapping())
-    assert again.vertices == cp.vertices
-    broken = cp.to_mapping()
-    del broken["12"]
-    with pytest.raises(ValueError, match="missing vertex"):
-        ComplementaryPolyhedron.from_mapping(d, broken)
 
 
 def test_validate_rejects_wrong_direction():
@@ -84,7 +71,7 @@ def test_generate_matches_edge_rule_and_rejects_bad_input():
     cp = generate(d, [y], [Fraction(3, 2)], shift=(Fraction(1), Fraction(0)))
     w0 = max(d.weyl.elements, key=lambda w: w.length)
     scaled = tuple(Fraction(3, 2) * t for t in d.weyl.act(d.weyl.inv(w0), y))
-    assert cp.vertex(w0) == (scaled[0] + 1, scaled[1])
+    assert cp.vertices[w0.index] == (scaled[0] + 1, scaled[1])
     with pytest.raises(ValueError, match="not antidominant"):
         generate(d, [(Fraction(1), Fraction(-1))], [1])
     with pytest.raises(ValueError, match="non-negative"):
@@ -186,7 +173,7 @@ def test_refinement_clauses_on_random_corpus():
         d = build_root_datum(kind)
         for i in range(10):
             cp = random_polyhedron(d, seed=f"clauses:{kind}:{i}")
-            ref = canonical_refinement(cp)  # cross_check verifies both clauses
+            ref = canonical_refinement(cp)  # which cross-checks both clauses
             assert is_semistable(cp, ref)
             full = tuple(range(d.rank_ss))
             want = 1 if (ref.subset == full and ref.rep.length == 0) else 0
@@ -221,26 +208,6 @@ def test_semistable_hand_case():
     # the full facet sees the dominant transported vertex at e: not semistable
     assert not is_semistable(cp, SemiStandardParabolic((0,), e))
     assert is_semistable(cp, SemiStandardParabolic((), e))
-
-
-# -- admissibility ----------------------------------------------------------------
-
-
-def test_admissibility_window():
-    d = build_root_datum("A1")
-    assert is_admissible(d, (Fraction(3),), (Fraction(2),), 1)   # 3 <= 2/1 + 1
-    assert not is_admissible(d, (Fraction(5),), (Fraction(2),), 1)
-    assert is_admissible(d, (Fraction(5),), (Fraction(2),), 5)   # 5 <= 2/5 + 5
-    assert not is_admissible(d, (Fraction(0),), (Fraction(-1),), 1)
-    with pytest.raises(ValueError, match="positive integer"):
-        is_admissible(d, (Fraction(0),), (Fraction(0),), 0)
-
-
-def test_admissibility_shrinks_with_xi_growth():
-    d = build_root_datum("B2")
-    x = (Fraction(4), Fraction(4))
-    assert is_admissible(d, (Fraction(1), Fraction(1)), x, 2)
-    assert not is_admissible(d, (Fraction(40), Fraction(1)), x, 2)
 
 
 # -- projections -------------------------------------------------------------------

@@ -4,7 +4,7 @@ The rank-one oracle is literal counting: over the lattice d*Z (+ shift) the
 sum of [h > 0] - [h > x] is the number of lattice points in (0, x] minus the
 number in (x, 0], which a ten-line loop computes with no cone machinery at
 all.  Higher-rank checks play the evaluation routes against each other and
-against hand-picked structural facts (multiplicity, sums on walls).
+against hand-picked structural facts (shifted lattices, sums on walls).
 """
 
 import itertools
@@ -55,10 +55,10 @@ def test_coroot_lattice_sum_matches_counting():
         assert product_eval(spec, (x,)) == expect
 
 
-def test_shifted_lattice_and_multiplicity():
-    spec = LatticeSpec(A1, (), [(2,)], base_point=(1,), multiplicity=Fraction(3, 2))
+def test_shifted_lattice():
+    spec = LatticeSpec(A1, (), [(2,)], base_point=(1,))
     for x in range(-5, 7):
-        expect = Fraction(3, 2) * _count_interval(2, 1, x)
+        expect = _count_interval(2, 1, x)
         assert brute_sum(spec, (x,)) == expect
         assert product_eval(spec, (x,)) == expect
 
@@ -115,8 +115,8 @@ _PROPERTY_DATA = {kind: build_root_datum(kind) for kind in ("A1", "A2", "B2", "G
 
 @st.composite
 def _lattice_points(draw):
-    """A spec with a scaled or sheared basis, a rational base point and a
-    rational multiplicity, and a point of its parameter lattice."""
+    """A spec with a scaled or sheared basis and a rational base point, and
+    a point of its parameter lattice."""
     datum = _PROPERTY_DATA[draw(st.sampled_from(sorted(_PROPERTY_DATA)))]
     subset = draw(st.sampled_from(enumerate_standard(datum)[:-1]))
     standard = standard_lattice_spec(datum, subset).basis
@@ -131,8 +131,7 @@ def _lattice_points(draw):
     weights = [draw(rational) for _ in standard]
     base = tuple(sum((w * b[k] for w, b in zip(weights, standard)), Fraction(0))
                  for k in range(datum.dim))
-    spec = LatticeSpec(datum, subset, basis, base_point=base,
-                       multiplicity=draw(rational))
+    spec = LatticeSpec(datum, subset, basis, base_point=base)
     coords = tuple(draw(st.integers(-3, 3)) for _ in range(datum.dim))
     return spec, spec.x_point(coords)
 
@@ -218,12 +217,6 @@ def test_prime_power_gate(capsys):
         assert main(argv + [str(q)]) == 0
         outputs.add(capsys.readouterr().out)
     assert len(outputs) == 1
-
-
-def test_declared_denominator_is_verified():
-    assert LatticeSpec(A1, (), [(2,)], denominator=4).denominator == 4
-    with pytest.raises(LatticeError, match="fails verification"):
-        LatticeSpec(A1, (), [(2,)], denominator=3)
 
 
 def test_basis_validation():
