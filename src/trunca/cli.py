@@ -399,8 +399,15 @@ def cmd_verify(config: RunConfig) -> int:
 # -- argument plumbing -----------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are configuration errors."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trunca",
         description="Exact truncation combinatorics: root systems, "
                     "refinements, lattice sums, torus character sweeps.")

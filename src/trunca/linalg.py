@@ -138,11 +138,6 @@ def solve(m, b) -> Vec:
     return matvec(mat_inverse(m), b)
 
 
-def rank(m) -> int:
-    rows = [[frac(x) for x in row] for row in m]
-    return len(_gauss(rows, len(m[0]) if m else 0))
-
-
 def lcm_den(values) -> int:
     """lcm of the denominators of an iterable of rationals (1 if empty)."""
     out = 1

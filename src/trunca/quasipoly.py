@@ -44,7 +44,7 @@ from .linalg import (
     lcm_den,
     mat_inverse,
     matvec,
-    rank,
+    solve,
     vadd,
     vec,
     vscale,
@@ -135,6 +135,14 @@ def _span_mod(generators, moduli) -> tuple:
 # the lattice data
 
 
+def _lattice_coords(coords) -> tuple:
+    """The coordinates as ints; a float or a non-integer raises LatticeError."""
+    coords = tuple(coords)
+    if any(isinstance(c, float) or Fraction(c).denominator != 1 for c in coords):
+        raise LatticeError("point is not on the declared parameter lattice")
+    return tuple(int(c) for c in coords)
+
+
 @dataclass(frozen=True)
 class _AdaptedCone:
     """Per-superset data for the generating-function route.
@@ -164,10 +172,11 @@ class LatticeSpec:
     ``basis`` spans a full-rank lattice in the semisimple part of the
     coordinate subspace attached to ``subset``; ``base_point`` shifts every
     lattice point before the profile is evaluated.  The parameter ``X``
-    ranges over the lattice ``x_basis``: the fundamental coweights plus the
-    central basis.  ``denominator`` is the least integer that clears every
-    pairing the generating-function route takes: the adapted bases' duals
-    against ``basis``, and the fundamental weights against ``x_basis``.
+    ranges over Z^dim in coweight coordinates, so ``x_basis`` is the
+    standard basis: the fundamental coweights plus the central basis.
+    ``denominator`` is the least integer that clears every pairing the
+    generating-function route takes: the adapted bases' duals against
+    ``basis``, and the fundamental weights' own entries.
 
     >>> from .rootdata import build_root_datum
     >>> d = build_root_datum([[2]])
@@ -205,8 +214,6 @@ class LatticeSpec:
 
         self.x_basis = tuple(vec(x) for x in
                              datum.fundamental_coweights + datum.central_basis)
-        self._x_mat_inv = mat_inverse(
-            tuple(tuple(x[i] for x in self.x_basis) for i in range(dim)))
         self._ctx = TruncationContext(datum)
 
         if self.rank:
@@ -229,9 +236,7 @@ class LatticeSpec:
                 for row in coords:
                     dens.append(lcm_den(row))
                 raw.append((q, vectors, duals, with_x, coords))
-        for j in rest:
-            for x in self.x_basis:
-                dens.append(dot(datum.fundamental_weights[j], x).denominator)
+        dens.extend(lcm_den(datum.fundamental_weights[j]) for j in rest)
         self.denominator = math.lcm(*dens)
 
         lambda0, k_table = self._pick_direction(raw)
@@ -326,18 +331,15 @@ class LatticeSpec:
         return series
 
     def x_point(self, coords) -> Vec:
-        """The parameter with the given integer coordinates in ``x_basis``."""
-        out = zero_vec(self.datum.dim)
-        for c, x in zip(coords, self.x_basis, strict=True):
-            out = vadd(out, vscale(c, x))
-        return out
+        """The parameter with the given coordinates in ``x_basis``."""
+        point = vec(coords)
+        if len(point) != self.datum.dim:
+            raise ValueError("parameter has the wrong dimension")
+        return point
 
     def x_coords(self, x) -> tuple:
         """Integer ``x_basis`` coordinates of ``x``; raises if not on the lattice."""
-        sol = matvec(self._x_mat_inv, vec(x))
-        if any(c.denominator != 1 for c in sol):
-            raise LatticeError("point is not on the declared parameter lattice")
-        return tuple(int(c) for c in sol)
+        return _lattice_coords(self.x_point(x))
 
     def __repr__(self):
         return (f"LatticeSpec(subset={self.subset}, rank={self.rank}, "
@@ -516,7 +518,7 @@ class QuasiPolynomial:
 
     def evaluate_rational(self, coords) -> Fraction:
         """The value at ``coords``: the polynomial of their residue class."""
-        coords = tuple(int(c) for c in coords)
+        coords = _lattice_coords(coords)
         if len(coords) != len(self.moduli):
             raise ValueError("wrong number of coordinates")
         index = 0
@@ -538,17 +540,16 @@ def _candidate_frequencies(spec: LatticeSpec):
 
     A cone's characters are those of Z^rank modulo its lattice, that is the
     dual lattice modulo Z^rank, which the rows of the inverse of the
-    generator matrix (generators as columns) generate.  Pairing the
-    parameter-facing directions with ``x_basis`` carries a character to a
-    frequency covector, so the images of those rows span the cone's
-    candidate subgroup.  Returns the union of the subgroups and the moduli,
-    the lcm of the frequencies' denominators per coordinate.
+    generator matrix (generators as columns) generate.  The entries of the
+    parameter-facing duals (their pairings with ``x_basis``) carry a
+    character to a frequency covector, so the images of those rows span the
+    cone's candidate subgroup.  Returns the union of the subgroups and the
+    moduli, the lcm of the frequencies' denominators per coordinate.
     """
     dim = len(spec.x_basis)
     images = []
     for cone in spec._cones:
-        pairing = [tuple(int(spec.denominator * dot(dual, xb)) for xb in spec.x_basis)
-                   if with_x else (0,) * dim
+        pairing = [scaled_int_vec(dual, spec.denominator) if with_x else (0,) * dim
                    for dual, with_x in zip(cone.duals, cone.with_x, strict=True)]
         rows = mat_inverse(tuple(zip(*cone.generators)))
         images.append([tuple(sum((phi * row[i] for phi, row in zip(char, pairing, strict=True)),
@@ -600,10 +601,11 @@ def fit_quasipolynomial(spec: LatticeSpec, samples, evaluator=None) -> QuasiPoly
     The candidate frequencies come from the cones' character groups: only
     the characters seen through some cone's parameter-facing directions can
     occur, and their denominators give the periods ``moduli``.  On each
-    residue class modulo the periods the law is an honest polynomial of
-    degree at most the lattice rank, fitted exactly (the sampling grid is
-    enlarged along a deterministic schedule until the linear system
-    determines it, and every remaining point must then reproduce).  Each
+    residue class r modulo the periods the law is an honest polynomial of
+    degree at most d, the lattice rank, so its values on the principal
+    lattice r + moduli * g, |g| <= d, determine it (Chung--Yao 1977;
+    Gasca--Sauer 2000).  The rest of the box 0 <= g_i <= d, evaluated too,
+    and every other known sample of the class must reproduce it.  Each
     character's amplitude over the classes is then tested for zero by one
     cyclotomic reduction of integer counts, and a nonzero amplitude outside
     the candidate set raises :class:`ConsistencyError`.
@@ -629,39 +631,30 @@ def fit_quasipolynomial(spec: LatticeSpec, samples, evaluator=None) -> QuasiPoly
 
     known = {}
     for coords, value in samples:
-        coords = tuple(int(c) for c in coords)
+        coords = _lattice_coords(coords)
         value = frac(value)
         if known.setdefault(coords, value) != value:
             raise ConsistencyError(f"conflicting sample values at {coords}")
+    sampled = {}
+    for c in known:
+        sampled.setdefault(tuple(ci % m for ci, m in zip(c, moduli, strict=True)), []).append(c)
 
     monos = _monomials(dim, degree)
     fits = []
     for residue in itertools.product(*[range(m) for m in moduli]):
-        points = [c for c in known if all(ci % m == r for ci, m, r
-                                          in zip(c, moduli, residue, strict=True))]
-        for g in itertools.product(range(degree + 1), repeat=dim):
-            c = tuple(r + m * gi for r, m, gi in zip(residue, moduli, g, strict=True))
-            if c not in points:
-                points.append(c)
-        rows = [tuple(math.prod(Fraction(ci) ** e for ci, e in zip(c, mono, strict=True))
-                      for mono in monos) for c in points]
-        chosen = []
-        for i, row in enumerate(rows):
-            if len(chosen) == len(monos):
-                break
-            if rank([rows[j] for j in chosen] + [row]) > len(chosen):
-                chosen.append(i)
-        if len(chosen) < len(monos):  # pragma: no cover
-            raise ConsistencyError("sampling grid does not determine the fit")
-        for c in points:
+        box = {g: tuple(r + m * gi for r, m, gi in zip(residue, moduli, g))
+               for g in itertools.product(range(degree + 1), repeat=dim)}
+        for c in box.values():
             if c not in known:
                 known[c] = frac(evaluator(c))
-        sq = mat_inverse([rows[i] for i in chosen])
-        coeffs = matvec(sq, tuple(known[points[i]] for i in chosen))
-        for i, row in enumerate(rows):
-            if dot(row, coeffs) != known[points[i]]:
-                raise ConsistencyError(
-                    f"samples at {points[i]} break the degree-{degree} law")
+        rows = {c: tuple(math.prod(ci ** e for ci, e in zip(c, mono)) for mono in monos)
+                for c in [*sampled.get(residue, ()), *box.values()]}
+        # the principal lattice |g| <= degree is the monomials' exponent set
+        simplex = [box[g] for g in monos]
+        coeffs = solve([rows[c] for c in simplex], [known[c] for c in simplex])
+        for c, row in rows.items():
+            if dot(row, coeffs) != known[c]:
+                raise ConsistencyError(f"samples at {c} break the degree-{degree} law")
         fits.append(coeffs)
     return QuasiPolynomial(moduli, tuple(monos), tuple(fits),
                            _frequencies(fits, moduli, candidates))

@@ -315,7 +315,7 @@ def _regular_orbits(q, l):
     return model, {x: o for x, o in orbits.items() if len(set(o)) == l}
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_lie_char_sum_on_admissible_pairs(data):
     q, l = data.draw(st.sampled_from(SWEEP + ((3, 5),)))

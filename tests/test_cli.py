@@ -2,7 +2,7 @@
 
 Everything runs in-process through ``main(argv)`` (which returns the exit
 code); one subprocess test at the bottom exercises the installed console
-script and argparse's own failure path.
+script and the exit status of a usage error.
 """
 
 import json
@@ -252,14 +252,6 @@ def test_config_value_the_flag_would_refuse_exits_2(tmp_path, capsys, argv, valu
     assert "trunca:" in err
 
 
-def _exit_code(argv):
-    """main's exit status, whether it returns it or argparse raises it."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 # config key: (flag, an argv that is valid as it stands)
 _FLAG_HOMES = {
     "h": ("--H", ("gamma", "--type", "A1", "--P", "", "--H", "1/2", "--X", "2")),
@@ -285,8 +277,7 @@ _not_prime_powers = st.sampled_from(
     [str(q) for q in range(-2, 40) if factor_prime_power(q) is None])
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(key=st.sampled_from(sorted(_FLAG_HOMES)), data=st.data())
 def test_malformed_values_exit_2(tmp_path, capsys, key, data):
     value = data.draw(_malformed | _not_prime_powers if key == "q" else _malformed)
@@ -297,8 +288,8 @@ def test_malformed_values_exit_2(tmp_path, capsys, key, data):
     cfg.write_text(json.dumps({key: value}))
     as_file = [*home[:at], *home[at + 2:], "--config", str(cfg)]
     for argv in (as_flag, as_file):
-        assert _exit_code(argv) == 2, argv
-    capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("trunca:"), argv
     # the valid home argv runs, and prints the same bytes every time
     assert main(list(home)) == 0
     first = capsys.readouterr().out
@@ -329,3 +320,4 @@ def test_console_script_and_usage_errors():
     bad = subprocess.run([sys.executable, "-m", "trunca.cli", "nosuchcommand"],
                          capture_output=True, text=True)
     assert bad.returncode == 2
+    assert bad.stderr.startswith("trunca:")

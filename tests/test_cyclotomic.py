@@ -8,7 +8,7 @@ sum_g c_g * mu(m/g), which is computed here without any polynomial division.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from trunca.cyclotomic import CyclotomicNumber
@@ -34,7 +34,6 @@ def _class_constant_counts(draw):
     return m, weights
 
 
-@settings(derandomize=True, deadline=None, database=None)
 @given(_class_constant_counts())
 def test_reduction_matches_ramanujan_sums(case):
     m, weights = case

@@ -23,6 +23,8 @@ from trunca.linalg import enumerate_box, mat_inverse, matvec
 from trunca.parabolic import enumerate_standard
 from trunca.quasipoly import (
     LatticeSpec,
+    QuasiPolynomial,
+    _candidate_frequencies,
     brute_sum,
     fit_quasipolynomial,
     product_eval,
@@ -136,7 +138,7 @@ def _lattice_points(draw):
     return spec, spec.x_point(coords)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(_lattice_points())
 def test_series_route_matches_enumeration(case):
     spec, x = case
@@ -308,3 +310,73 @@ def test_fit_rejects_conflicting_duplicates():
     samples = [((3,), Fraction(1)), ((3,), Fraction(2))]
     with pytest.raises(ConsistencyError, match="conflicting"):
         fit_quasipolynomial(spec, samples)
+
+
+def test_fit_checks_the_box_beyond_the_principal_lattice():
+    # A2 with subset (0,) has rank 1 and periods (3, 3).  On the class (0, 0)
+    # the fit interpolates at g = (0, 0), (0, 1), (1, 0); the box point
+    # g = (1, 1), at coordinates (3, 3), only checks the law.
+    spec = standard_lattice_spec(build_root_datum("A2"), (0,))
+
+    def evaluator(coords):
+        return brute_sum(spec, spec.x_point(coords)) + (coords == (3, 3))
+
+    with pytest.raises(ConsistencyError, match="break the degree-1 law"):
+        fit_quasipolynomial(spec, [], evaluator)
+
+
+def test_non_integer_coordinates_are_refused():
+    spec = standard_lattice_spec(A1, ())
+    law = fit_quasipolynomial(spec, [])
+    # the law holds on the integers only: -1/2 truncated to 0 would read 0,
+    # where the sum is -1
+    assert brute_sum(spec, (Fraction(-1, 2),)) == -1
+    assert law.evaluate_rational((0,)) == 0
+    for bad in (Fraction(-1, 2), Fraction(1, 2), 3.9, 3.0):
+        with pytest.raises(LatticeError, match="parameter lattice"):
+            law.evaluate_rational((bad,))
+        with pytest.raises(LatticeError, match="parameter lattice"):
+            fit_quasipolynomial(spec, [((bad,), 0)])
+    with pytest.raises(LatticeError, match="parameter lattice"):
+        spec.x_coords((Fraction(1, 2),))
+
+
+def _planting(spec):
+    candidates, moduli = _candidate_frequencies(spec)
+    monomials = sorted(m for m in itertools.product(range(spec.rank + 1), repeat=len(moduli))
+                       if sum(m) <= spec.rank)
+    return spec, moduli, tuple(monomials), len(candidates) == math.prod(moduli)
+
+
+# Where the candidate frequencies are the whole class group (A1 on 4Z, B2
+# with subset (0,)) every class gets its own polynomial; elsewhere (A2 Borel,
+# rank two) one polynomial serves all classes, so zero is its only frequency.
+_PLANTINGS = [
+    _planting(LatticeSpec(A1, (), [(4,)])),
+    _planting(standard_lattice_spec(build_root_datum("B2"), (0,))),
+    _planting(standard_lattice_spec(build_root_datum("A2"), ())),
+]
+
+
+@st.composite
+def _planted_laws(draw):
+    spec, moduli, monomials, every_class = draw(st.sampled_from(_PLANTINGS))
+    rational = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    polynomial = st.tuples(*[rational] * len(monomials))
+    classes = math.prod(moduli)
+    if every_class:
+        planted = tuple(draw(polynomial) for _ in range(classes))
+    else:
+        planted = (draw(polynomial),) * classes
+    extra = draw(st.lists(st.tuples(*[st.integers(-20, 20)] * len(moduli)), max_size=4))
+    return spec, QuasiPolynomial(moduli, monomials, planted, ()), extra
+
+
+@settings(max_examples=60)
+@given(_planted_laws())
+def test_fit_returns_the_planted_law(case):
+    spec, planted, extra = case
+    law = fit_quasipolynomial(spec, [(c, planted.evaluate_rational(c)) for c in extra],
+                              planted.evaluate_rational)
+    assert (law.moduli, law.monomials) == (planted.moduli, planted.monomials)
+    assert law.coefficients == planted.coefficients

@@ -102,7 +102,7 @@ def _element_pairs(draw):
     return weyl, a, b
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(max_examples=300)
 @given(_element_pairs())
 def test_weyl_products_are_matrix_products(pair):
     weyl, a, b = pair
@@ -139,7 +139,7 @@ def _generated_subgroup(weyl, subset):
     return members
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(max_examples=300)
 @given(_element_subsets())
 def test_coset_tables_match_the_definitions(case):
     weyl, w, subset = case

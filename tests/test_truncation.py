@@ -229,7 +229,7 @@ def _product_form(ctx, subset, h, x):
 
 # 600 examples reach G2 wall points that a scan of off-wall points misses;
 # 300 do not.
-@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@settings(max_examples=600)
 @given(_gamma_inputs())
 def test_gamma_is_the_product_form_and_lies_in_its_box(inputs):
     ctx, subset, h, x = inputs
