@@ -11,9 +11,9 @@ by the simple coroots in ``I`` and ``a_P`` is the common kernel of those
 simple roots; :func:`projector_to_aP` is the projection onto ``a_P`` along
 ``a_B^P``.  It and :func:`relative_weight` are the building blocks of the
 relative root/weight families Delta_P^Q and hat-Delta_P^Q, which
-:class:`trunca.truncation.TruncationContext` serves (``delta`` and
-``hat_delta``) as covectors on all of ``a_B``, so callers can pair them
-against anything without tracking which subspace they came from.
+:meth:`trunca.truncation.TruncationContext.walls` serves as covectors on
+all of ``a_B``, so callers can pair them against anything without tracking
+which subspace they came from.
 """
 
 from __future__ import annotations

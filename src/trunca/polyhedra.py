@@ -237,16 +237,11 @@ def vertex_walls_clear(cp: ComplementaryPolyhedron) -> bool:
     projected simple root and every relative fundamental weight pairs
     nonzero against every s(X_s).
     """
-    tab = _tables(cp.datum)
-    n = cp.datum.rank_ss
+    ctx = _tables(cp.datum).ctx
     covs = []
     for subset in enumerate_standard(cp.datum):
-        inside = set(subset)
-        for j in range(n):
-            if j in inside:
-                covs.append(tab.ctx.rel_weight(subset, j))
-            else:
-                covs.append(tab.ctx.proj_covector(subset, j))
+        covs.extend(ctx.walls((), subset)[1])
+        covs.extend(ctx.walls(subset, ctx.full)[0])
     for t in cp.transported():
         for cov in covs:
             if dot(cov, t) == 0:
@@ -304,6 +299,7 @@ def is_semistable(cp: ComplementaryPolyhedron, facet: SemiStandardParabolic,
     coset = [v for v in weyl.elements if minrep_p[v.index] == facet.rep.index]
     for size in range(len(p_subset)):
         for r_subset in combinations(p_subset, size):
+            weights = tab.ctx.walls(r_subset, p_subset)[1]
             minrep_r = weyl.min_reps(r_subset)
             seen = set()
             for v in coset:
@@ -312,8 +308,7 @@ def is_semistable(cp: ComplementaryPolyhedron, facet: SemiStandardParabolic,
                     continue
                 seen.add(delta_idx)
                 point = trans[delta_idx]
-                if all(dot(tab.ctx.rel_weight(p_subset, j), point) > 0
-                       for j in p_subset if j not in r_subset):
+                if all(dot(wt, point) > 0 for wt in weights):
                     return False
     return True
 
@@ -364,12 +359,11 @@ def canonical_refinement(cp: ComplementaryPolyhedron,
     if not is_semistable(cp, facet, q_subset):
         raise ConsistencyError(f"refinement {facet} is not semistable")
     point = trans[facet.rep.index]
-    for j in q_subset:
-        if j not in facet.subset:
-            if dot(tab.ctx.proj_covector(facet.subset, j), point) <= 0:
-                raise ConsistencyError(
-                    f"refinement {facet} fails strict positivity at "
-                    f"relative root {j}")
+    for j, cov in tab.ctx.delta(facet.subset, q_subset):
+        if dot(cov, point) <= 0:
+            raise ConsistencyError(
+                f"refinement {facet} fails strict positivity at "
+                f"relative root {j}")
     return facet
 
 
@@ -386,8 +380,7 @@ def semistability_indicator(cp: ComplementaryPolyhedron) -> int:
     total = 0
     for cand in tab.candidates(full):
         point = trans[cand.rep.index]
-        if all(dot(tab.ctx.rel_weight(full, j), point) > 0
-               for j in range(n) if j not in cand.subset):
+        if tab.ctx.tau_hat(cand.subset, full, point):
             total += (-1) ** (n - len(cand.subset))
     ref = canonical_refinement(cp, full)
     expected = 1 if (ref.subset == full and ref.rep.length == 0) else 0

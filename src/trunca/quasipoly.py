@@ -262,11 +262,15 @@ class LatticeSpec:
         self._inverse_series = {}
 
     def _adapted_basis(self, q):
-        """Basis of the lattice's ambient space adapted to the superset q."""
+        """Basis of the lattice's ambient space adapted to the superset q, its
+        dual covectors (the relative roots of (subset, q), then the
+        fundamental weights outside q) and which duals also pair with X."""
         datum, ctx = self.datum, self._ctx
+        roots = ctx.walls(self.subset, q)[0]
+        weights = ctx.walls(q, ctx.full)[1]
         positions = {j: i for i, j in enumerate(q)}
         inv_block = mat_inverse(tuple(tuple(datum.cartan[i][j] for j in q) for i in q)) if q else ()
-        vectors, duals, with_x = [], [], []
+        vectors = []
         for j in q:
             if j in self.subset:
                 continue
@@ -275,16 +279,11 @@ class LatticeSpec:
                 v = vadd(v, vscale(inv_block[positions[i]][positions[j]],
                                    datum.simple_coroots[i]))
             vectors.append(v)
-            duals.append(ctx.proj_covector(self.subset, j))
-            with_x.append(False)
         proj = ctx.projector(q)
-        for j in range(len(datum.cartan)):
-            if j in q:
-                continue
-            vectors.append(matvec(proj, datum.simple_coroots[j]))
-            duals.append(datum.fundamental_weights[j])
-            with_x.append(True)
-        return tuple(vectors), tuple(duals), tuple(with_x)
+        vectors.extend(matvec(proj, datum.simple_coroots[j])
+                       for j in ctx.full if j not in q)
+        return (tuple(vectors), roots + weights,
+                (False,) * len(roots) + (True,) * len(weights))
 
     def _pick_direction(self, raw):
         """A covector pairing nonzero with every adapted basis vector.

@@ -1,13 +1,17 @@
 """Cone characteristic functions on parabolic families and their
 alternating sums.
 
-``tau`` and ``tau_hat`` are the indicator functions of the acute and obtuse
-cones attached to a nested pair of standard parabolics: strict positivity
-against the relative simple roots, respectively the relative fundamental
-weights.  ``langlands_inversion_check`` evaluates the alternating sum over
+For each nested pair P <= Q of standard parabolics,
+``TruncationContext.walls`` tabulates the relative simple roots and the
+relative fundamental weights, once per pair, and ``delta`` labels the
+roots by index.  Strict positivity against them is the acute cone tau and
+the obtuse cone ``tau_hat`` of the pair.
+``langlands_inversion_check`` evaluates the alternating sum over
 intermediate parabolics that should telescope to a Kronecker delta, and
 ``gamma`` is the compactly-supported alternating-sum function whose support
 ``gamma_support_box`` brackets by the vertices of a hyperplane arrangement.
+Both sums pair h (and x) with each wall once per call and then share one
+2^m-term sum over subsets.
 
 Everything is exact: inputs are rational vectors, indicators compare exact
 rationals to zero, and the arrangement's vertices solve rational systems.
@@ -23,6 +27,19 @@ from .errors import WallError
 from .linalg import basis_vec, dot, matvec, solve, vecmat
 from .parabolic import projector_to_aP, relative_weight
 from .rootdata import RootDatum
+
+
+def _alternating_sum(t, w) -> int:
+    """Sum over subsets S of positions of (-1)^|S| times [t_k > 0 on S] and
+    [w_k > 0 off S]: the 2^m-term sum behind inversion and gamma."""
+    m = len(t)
+    total = 0
+    for size in range(m + 1):
+        for chosen in combinations(range(m), size):
+            if (all(t[k] > 0 for k in chosen)
+                    and all(w[k] > 0 for k in range(m) if k not in chosen)):
+                total += (-1) ** size
+    return total
 
 
 def _norm_subset(datum: RootDatum, subset) -> tuple[int, ...]:
@@ -54,16 +71,14 @@ class SupportBox:
 
 
 class TruncationContext:
-    """Cached relative root/weight tables for one root datum."""
+    """Relative root and weight tables for one root datum, one entry per
+    nested pair of standard parabolics."""
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
         self.full = tuple(range(datum.rank_ss))
         self._proj = {}
-        self._proj_cov = {}
-        self._rel_weight = {}
-
-    # -- cached geometry ---------------------------------------------------
+        self._walls = {}
 
     def projector(self, subset):
         subset = _norm_subset(self.datum, subset)
@@ -71,56 +86,54 @@ class TruncationContext:
             self._proj[subset] = projector_to_aP(self.datum, subset)
         return self._proj[subset]
 
-    def proj_covector(self, subset, j):
-        """alpha_j composed with the projection onto a_P, as a covector."""
-        subset = _norm_subset(self.datum, subset)
-        key = (subset, j)
-        if key not in self._proj_cov:
-            self._proj_cov[key] = vecmat(self.datum.simple_roots[j],
-                                         self.projector(subset))
-        return self._proj_cov[key]
+    def walls(self, p_subset, q_subset):
+        """``(roots, weights)`` of the nested pair P <= Q: for each j in
+        Q - P, ascending, the covector alpha_j o proj_P and the Q-relative
+        fundamental weight varpi_j^Q.  Each weight kills a_Q and every
+        simple coroot of P.
 
-    def _nested(self, p_subset, q_subset):
-        """The normalised pair (P, Q), which must satisfy P <= Q."""
+        >>> from trunca.rootdata import build_root_datum
+        >>> ctx = TruncationContext(build_root_datum("A2"))
+        >>> ctx.walls((0,), (0, 1))
+        (((Fraction(1, 2), Fraction(1, 1)),), ((Fraction(1, 3), Fraction(2, 3)),))
+        """
         p, q = _norm_subset(self.datum, p_subset), _norm_subset(self.datum, q_subset)
-        if not set(p) <= set(q):
-            raise ValueError(f"parabolic {p} is not contained in {q}")
-        return p, q
+        key = (p, q)
+        if key not in self._walls:
+            if not set(p) <= set(q):
+                raise ValueError(f"parabolic {p} is not contained in {q}")
+            between = [j for j in q if j not in p]
+            # alpha_j o proj_P does not depend on Q, nor varpi_j^Q on P: each
+            # is built once, on the pair (P, G), respectively ((), Q).
+            if q == self.full:
+                roots = tuple(vecmat(self.datum.simple_roots[j], self.projector(p))
+                              for j in between)
+            else:
+                outer = self.walls(p, self.full)[0]
+                rest = [j for j in self.full if j not in p]
+                roots = tuple(outer[rest.index(j)] for j in between)
+            if p:
+                inner = self.walls((), q)[1]
+                weights = tuple(inner[q.index(j)] for j in between)
+            else:
+                weights = tuple(relative_weight(self.datum, q, j) for j in q)
+            self._walls[key] = (roots, weights)
+        return self._walls[key]
 
     def delta(self, p_subset, q_subset):
-        """(j, alpha_j o proj_P) for j in Q - P, ascending.
+        """(j, alpha_j o proj_P) for j in Q - P, ascending: the roots of
+        ``walls`` labelled by their index.
 
         >>> from trunca.rootdata import build_root_datum
         >>> TruncationContext(build_root_datum("A2")).delta((0,), (0, 1))
         ((1, (Fraction(1, 2), Fraction(1, 1))),)
         """
-        p, q = self._nested(p_subset, q_subset)
-        return tuple((j, self.proj_covector(p, j)) for j in q if j not in p)
-
-    def rel_weight(self, q_subset, j):
-        """Fundamental weight of j relative to the sub-system on Q."""
-        q_subset = _norm_subset(self.datum, q_subset)
-        key = (q_subset, j)
-        if key not in self._rel_weight:
-            self._rel_weight[key] = relative_weight(self.datum, q_subset, j)
-        return self._rel_weight[key]
-
-    def hat_delta(self, p_subset, q_subset):
-        """(j, Q-relative fundamental weight of j) for j in Q - P, ascending;
-        each weight kills a_Q and every simple coroot of P."""
-        p, q = self._nested(p_subset, q_subset)
-        return tuple((j, self.rel_weight(q, j)) for j in q if j not in p)
-
-    # -- cone indicators ----------------------------------------------------
-
-    def tau(self, p_subset, q_subset, h) -> bool:
-        """Acute-cone indicator: all relative simple roots strictly positive
-        on h.  Exact; points on walls simply fail the strict inequality."""
-        return all(dot(cov, h) > 0 for _, cov in self.delta(p_subset, q_subset))
+        p, q = _norm_subset(self.datum, p_subset), _norm_subset(self.datum, q_subset)
+        return tuple(zip([j for j in q if j not in p], self.walls(p, q)[0], strict=True))
 
     def tau_hat(self, p_subset, q_subset, h) -> bool:
-        """Obtuse-cone indicator: all relative fundamental weights strictly
-        positive on h.
+        """Obtuse-cone indicator: every relative fundamental weight of
+        ``walls`` strictly positive on h.
 
         >>> from trunca.rootdata import build_root_datum
         >>> ctx = TruncationContext(build_root_datum("A2"))
@@ -129,58 +142,51 @@ class TruncationContext:
         >>> ctx.tau_hat((), (0, 1), h)
         False
         """
-        return all(dot(cov, h) > 0
-                   for _, cov in self.hat_delta(p_subset, q_subset))
+        return all(dot(wt, h) > 0 for wt in self.walls(p_subset, q_subset)[1])
 
     # -- alternating sums ----------------------------------------------------
 
     def langlands_inversion_check(self, p_subset, q_subset, h) -> bool:
         """Does the alternating tau / tau-hat sum over intermediate
-        parabolics equal the Kronecker delta of P and Q at h?
+        parabolics P <= R <= Q equal the Kronecker delta of P and Q at h?
+        tau is strict positivity against the relative roots of (P, R), and
+        tau-hat against the relative weights of (R, Q).
 
         Raises :class:`WallError` when h lies on a wall of any functional in
         the relevant family (the answer would be convention-dependent there).
         """
-        p, q = self._nested(p_subset, q_subset)
-        between = [j for j in q if j not in p]
-        for j in between:
-            if dot(self.proj_covector(p, j), h) == 0:
+        p, q = _norm_subset(self.datum, p_subset), _norm_subset(self.datum, q_subset)
+        roots, weights = self.walls(p, q)
+        t = [dot(cov, h) for cov in roots]
+        w = [dot(cov, h) for cov in weights]
+        for j, t_j, w_j in zip([j for j in q if j not in p], t, w, strict=True):
+            if t_j == 0:
                 raise WallError(f"h lies on the wall of relative root {j}")
-            if dot(self.rel_weight(q, j), h) == 0:
+            if w_j == 0:
                 raise WallError(f"h lies on the wall of relative weight {j}")
-        total = 0
-        for size in range(len(between) + 1):
-            for extra in combinations(between, size):
-                r = tuple(sorted(p + extra))
-                term = (self.tau(p, r, h) and self.tau_hat(r, q, h))
-                total += (-1) ** size * term
-        return total == (1 if p == q else 0)
+        return _alternating_sum(t, w) == (1 if p == q else 0)
 
     def gamma(self, p_subset, h, x) -> int:
         """The alternating-sum function of the pair (h, x) at the parabolic.
 
-        h is first projected onto a_P; x is taken as given.  Defined for
-        every rational input (walls contribute through the strict
-        inequalities; no errors).
+        h is first projected onto a_P; x is taken as given.  Over the
+        parabolics Q >= P, gamma sums (-1)^(rank - |Q|) times tau of (P, Q)
+        at h_P and tau-hat of (Q, G) at h_P - x.  Defined for every rational
+        input (walls contribute through the strict inequalities; no errors).
 
         >>> from trunca.rootdata import build_root_datum
         >>> ctx = TruncationContext(build_root_datum("A1"))
         >>> [ctx.gamma((), (Fraction(t, 2),), (2,)) for t in range(-1, 6)]
         [0, 0, 1, 1, 1, 1, 0]
         """
-        p = _norm_subset(self.datum, p_subset)
-        h_p = matvec(self.projector(p), h)
-        h_minus_x = tuple(a - b for a, b in zip(h_p, x, strict=True))
-        n = self.datum.rank_ss
-        rest = [j for j in range(n) if j not in p]
-        total = 0
-        for size in range(len(rest) + 1):
-            for extra in combinations(rest, size):
-                q = tuple(sorted(p + extra))
-                sign = (-1) ** (n - len(q))
-                if self.tau(p, q, h_p) and self.tau_hat(q, self.full, h_minus_x):
-                    total += sign
-        return total
+        if len(h) != self.datum.dim or len(x) != self.datum.dim:
+            raise ValueError("h and x must have the datum's dimension")
+        roots, weights = self.walls(p_subset, self.full)
+        # alpha_j o proj_P already projects, and for j outside P varpi_j
+        # kills the coroots of P, so neither pairing needs h_P itself.
+        t = [dot(cov, h) for cov in roots]
+        w = [dot(cov, h) - dot(cov, x) for cov in weights]
+        return (-1) ** len(roots) * _alternating_sum(t, w)
 
     # -- support bracketing ---------------------------------------------------
 
@@ -198,12 +204,12 @@ class TruncationContext:
         of the arrangement vertices that lie in K, walls included.
         """
         p = _norm_subset(self.datum, p_subset)
-        rest = [j for j in range(self.datum.rank_ss) if j not in p]
+        roots, weights = self.walls(p, self.full)
+        rest = [j for j in self.full if j not in p]
         m = len(rest)
         if m == 0:
             return SupportBox(p, (), trivial=True)
 
-        weights = [self.datum.fundamental_weights[j] for j in rest]
         # h_P is sum_k t_k varpi_k^vee plus a central part that every
         # fundamental weight kills, so w = w_rows . t.
         w_rows = [tuple(dot(wt, self.datum.fundamental_coweights[k]) for k in rest)
@@ -222,7 +228,7 @@ class TruncationContext:
                 vertices.append(t)
         # t = 0 is always such a vertex, so the box is never empty
         entries = tuple(
-            (j, self.proj_covector(p, j),
+            (j, roots[pos],
              min(t[pos] for t in vertices), max(t[pos] for t in vertices))
             for pos, j in enumerate(rest))
         return SupportBox(p, entries)

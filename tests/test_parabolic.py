@@ -102,17 +102,20 @@ def test_relative_weights_are_dual_to_projected_coroots(kind):
             if not set(p) <= set(q):
                 continue
             between = sorted(set(q) - set(p))
-            roots = ctx.delta(p, q)
-            weights = ctx.hat_delta(p, q)
-            assert [j for j, _ in roots] == between == [j for j, _ in weights]
-            # <hat_delta_i, proj_P alpha_j^vee> = delta_ij on Q - P
+            roots, weights = ctx.walls(p, q)
+            assert len(roots) == len(between) == len(weights)
             proj = projector_to_aP(datum, p)
-            for a, wt in weights:
-                for b, _ in roots:
+            proj_q = projector_to_aP(datum, q)
+            for j, root in zip(between, roots):
+                # the root at position j is alpha_j o proj_P
+                for v in datum.fundamental_coweights:
+                    assert dot(root, v) == dot(datum.simple_roots[j], matvec(proj, v))
+            # <hat_delta_i, proj_P alpha_j^vee> = delta_ij on Q - P
+            for a, wt in zip(between, weights):
+                for b in between:
                     got = dot(wt, matvec(proj, datum.simple_coroots[b]))
                     assert got == (1 if a == b else 0)
                 # relative weights vanish on a_Q: on projected coweights
-                proj_q = projector_to_aP(datum, q)
                 for v in datum.fundamental_coweights:
                     assert dot(wt, matvec(proj_q, v)) == 0
 
@@ -149,7 +152,11 @@ def test_containment_of_semistandard_parabolics():
 
 def test_delta_pq_requires_containment():
     ctx = TruncationContext(build_root_datum("A2"))
+    with pytest.raises(ValueError, match=r"^parabolic \(0,\) is not contained in \(1,\)$"):
+        ctx.walls((0,), (1,))
+    with pytest.raises(ValueError, match=r"^parabolic \(1,\) is not contained in \(\)$"):
+        ctx.walls((1,), ())
+    # subsets given as lists are normalised like tuples
     with pytest.raises(ValueError, match="not contained"):
-        ctx.delta((0,), (1,))
-    with pytest.raises(ValueError, match="not contained"):
-        ctx.hat_delta((1,), ())
+        ctx.walls([1], [])
+    assert ctx.walls((), ()) == ((), ())

@@ -16,9 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trunca.errors import WallError
-from trunca.linalg import dot, matvec
+from trunca.linalg import dot, matvec, vadd, vecmat, vscale
+from trunca.parabolic import enumerate_standard, projector_to_aP, relative_weight
+from trunca.quasipoly import brute_sum, standard_lattice_spec
 from trunca.rootdata import build_root_datum
 from trunca.truncation import TruncationContext
+from trunca.verify import INVERSION_TYPES
 
 
 def _context(kind):
@@ -40,16 +43,27 @@ def _rational_points(dim, count, seed):
 # -- cone indicators ---------------------------------------------------------
 
 
+def _tau(ctx, p, q, h):
+    """Acute cone of (P, Q): every relative simple root strictly positive."""
+    return all(dot(cov, h) > 0 for cov in ctx.walls(p, q)[0])
+
+
+def _tau_hat(ctx, p, q, h):
+    """Obtuse cone of (P, Q): every relative fundamental weight strictly
+    positive."""
+    return all(dot(cov, h) > 0 for cov in ctx.walls(p, q)[1])
+
+
 def test_tau_hand_points_a2():
     ctx = _context("A2")
     full = (0, 1)
     # coweight coordinates: <alpha_i, h> = h_i
-    assert ctx.tau((), full, (Fraction(1), Fraction(2)))
-    assert not ctx.tau((), full, (Fraction(-1), Fraction(2)))
-    assert not ctx.tau((), full, (Fraction(0), Fraction(2)))  # wall: strict
+    assert _tau(ctx, (), full, (Fraction(1), Fraction(2)))
+    assert not _tau(ctx, (), full, (Fraction(-1), Fraction(2)))
+    assert not _tau(ctx, (), full, (Fraction(0), Fraction(2)))  # wall: strict
     # obtuse cone: pairings against (1/3, 2/3)-type weight rows
-    assert ctx.tau_hat((), full, (Fraction(2), Fraction(-1) + Fraction(1, 2)))
-    assert not ctx.tau_hat((), full, (Fraction(2), Fraction(-2)))
+    assert _tau_hat(ctx, (), full, (Fraction(2), Fraction(-1) + Fraction(1, 2)))
+    assert not _tau_hat(ctx, (), full, (Fraction(2), Fraction(-2)))
 
 
 def test_acute_cone_inside_obtuse_cone():
@@ -66,8 +80,8 @@ def test_acute_cone_inside_obtuse_cone():
             if not set(p) <= set(q):
                 continue
             for h in pts:
-                if ctx.tau(p, q, h):
-                    assert ctx.tau_hat(p, q, h)
+                if _tau(ctx, p, q, h):
+                    assert _tau_hat(ctx, p, q, h)
 
 
 # -- inversion identity -------------------------------------------------------
@@ -93,11 +107,14 @@ def test_inversion_identity(kind):
 def test_inversion_wall_errors():
     ctx = _context("A2")
     # first coordinate zero lies on the relative-root wall of index 0
-    with pytest.raises(WallError):
+    with pytest.raises(WallError, match="^h lies on the wall of relative root 0$"):
         ctx.langlands_inversion_check((), (0, 1), (Fraction(0), Fraction(3)))
     # (1, -2) kills the weight row (2/3, 1/3)
-    with pytest.raises(WallError):
+    with pytest.raises(WallError, match="^h lies on the wall of relative weight 0$"):
         ctx.langlands_inversion_check((), (0, 1), (Fraction(1), Fraction(-2)))
+    # (3, -3/2) kills no root, and of the weights only (1/3, 2/3), index 1
+    with pytest.raises(WallError, match="^h lies on the wall of relative weight 1$"):
+        ctx.langlands_inversion_check((), (0, 1), (Fraction(3), Fraction(-3, 2)))
 
 
 def test_inversion_containment_required():
@@ -150,6 +167,11 @@ def test_gamma_full_parabolic_is_one():
         full = tuple(range(ctx.datum.rank_ss))
         for h in _rational_points(ctx.datum.dim, 10, f"one:{kind}"):
             assert ctx.gamma(full, h, (Fraction(0),) * ctx.datum.dim) == 1
+        # no wall is paired here, so the dimensions are checked on their own
+        with pytest.raises(ValueError, match="dimension"):
+            ctx.gamma(full, h, (Fraction(0),) * (ctx.datum.dim + 1))
+        with pytest.raises(ValueError, match="dimension"):
+            ctx.gamma(full, h[1:], (Fraction(0),) * ctx.datum.dim)
 
 
 def test_gamma_vanishes_at_zero_x():
@@ -216,13 +238,15 @@ def _gamma_inputs(draw):
 
 
 def _product_form(ctx, subset, h, x):
-    """gamma as the product over j outside P of [t_j > 0] - [w_j > c_j]."""
-    h_p = matvec(ctx.projector(subset), h)
+    """gamma as the product over j outside P of [t_j > 0] - [w_j > c_j],
+    built from the datum alone: t_j = <alpha_j, h_P>, w_j = <varpi_j, h_P>."""
+    datum = ctx.datum
+    h_p = matvec(projector_to_aP(datum, subset), h)
     value = 1
-    for j in range(ctx.datum.rank_ss):
+    for j in range(datum.rank_ss):
         if j not in subset:
-            weight = ctx.datum.fundamental_weights[j]
-            value *= (int(dot(ctx.proj_covector(subset, j), h_p) > 0)
+            weight = datum.fundamental_weights[j]
+            value *= (int(dot(datum.simple_roots[j], h_p) > 0)
                       - int(dot(weight, h_p) > dot(weight, x)))
     return value
 
@@ -237,3 +261,73 @@ def test_gamma_is_the_product_form_and_lies_in_its_box(inputs):
     assert value == _product_form(ctx, subset, h, x)
     if value != 0:
         assert ctx.gamma_support_box(subset, x).contains(h)
+
+
+# -- Langlands inversion next to its walls ------------------------------------
+
+_INVERSION_CONTEXTS = {kind: _context(kind) for kind in INVERSION_TYPES}
+
+
+@st.composite
+def _planted_walls(draw):
+    """A proper nested pair, a wall of its family built from the datum
+    alone, a point planted on that wall and a step 1/N off it."""
+    ctx = _INVERSION_CONTEXTS[draw(st.sampled_from(INVERSION_TYPES))]
+    datum = ctx.datum
+    pairs = [(p, q) for p in enumerate_standard(datum)
+             for q in enumerate_standard(datum) if set(p) < set(q)]
+    p, q = draw(st.sampled_from(pairs))
+    j = draw(st.sampled_from(sorted(set(q) - set(p))))
+    if draw(st.booleans()):  # the relative root alpha_j o proj_P
+        wall = vecmat(datum.simple_roots[j], projector_to_aP(datum, p))
+        step = datum.fundamental_coweights[j]
+    else:  # the Q-relative fundamental weight of j
+        wall = relative_weight(datum, q, j)
+        step = datum.simple_coroots[j]
+    assert dot(wall, step) == 1
+    coordinate = st.builds(Fraction, st.integers(-60, 60), st.integers(2, 13))
+    h = tuple(draw(coordinate) for _ in range(datum.dim))
+    planted = vadd(h, vscale(-dot(wall, h), step))
+    assert dot(wall, planted) == 0
+    nudge = vscale(Fraction(1, draw(st.integers(1, 10 ** 6))), step)
+    return ctx, p, q, planted, nudge
+
+
+@settings(max_examples=400)
+@given(_planted_walls())
+def test_inversion_holds_next_to_every_wall(inputs):
+    ctx, p, q, planted, nudge = inputs
+    with pytest.raises(WallError, match=r"^h lies on the wall of relative (root|weight) \d+$"):
+        ctx.langlands_inversion_check(p, q, planted)
+    for off in (vadd(planted, nudge), vadd(planted, vscale(-1, nudge))):
+        try:
+            assert ctx.langlands_inversion_check(p, q, off)
+        except WallError:
+            # 1/N off this wall may still lie on another wall of the family
+            continue
+
+
+# -- caches ---------------------------------------------------------------------
+
+
+def test_context_caches_stay_bounded():
+    # Many distinct X and h leave at most one walls entry per nested pair
+    # and one projector per subset: nothing keyed by X or h is kept.
+    datum = build_root_datum("A2")
+    spec = standard_lattice_spec(datum, ())
+    ctx = spec._ctx
+    n = datum.rank_ss
+    rng = random.Random("caches")
+
+    def use(rounds):
+        for _ in range(rounds):
+            brute_sum(spec, (rng.randint(-3, 4), rng.randint(-3, 4)))
+            h, x = _rational_points(datum.dim, 2, rng.random())
+            for p in enumerate_standard(datum):
+                ctx.gamma(p, h, x)
+                ctx.gamma_support_box(p, x)
+        return sum(len(v) for v in vars(ctx).values() if isinstance(v, dict))
+
+    first = use(10)
+    assert use(30) == first
+    assert len(ctx._walls) <= 3 ** n and len(ctx._proj) <= 2 ** n
