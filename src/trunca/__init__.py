@@ -66,7 +66,6 @@ from .rootdata import (
     build_root_datum,
     fold,
     generate_weyl,
-    pairing,
 )
 from .truncation import SupportBox, TruncationContext
 from .verify import ReportRecord, run_suites
@@ -86,7 +85,6 @@ __all__ = [
     "build_root_datum",
     "fold",
     "generate_weyl",
-    "pairing",
     "SemiStandardParabolic",
     "enumerate_semistandard",
     "enumerate_standard",

@@ -17,7 +17,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .charfield import (
@@ -35,31 +34,7 @@ from .parabolic import enumerate_semistandard
 from .polyhedra import canonical_refinement, degree, random_polyhedron
 from .quasipoly import brute_sum, product_eval, standard_lattice_spec
 from .rootdata import build_root_datum
-from .truncation import TruncationContext
 from .verify import SUITES, fmt_rational, run_suites
-
-
-@dataclass
-class RunConfig:
-    """Everything a run needs, resolved from flags and the config file."""
-
-    command: str
-    ctype: str | None = None
-    seed: int = 0
-    samples: int | None = None
-    q: int | None = None
-    l: int | None = None
-    out_format: str = "json"
-    out_path: str | None = None
-    p_subset: tuple[int, ...] = ()
-    h: tuple | None = None
-    x: tuple | None = None
-    batch: str | None = None
-    theta_lambda: str | None = None
-    theta_mu: str | None = None
-    sweep: bool = False
-    group: str = "SL2"
-    suite: str = "all"
 
 
 # -- parsing helpers -----------------------------------------------------------
@@ -103,7 +78,7 @@ def fmt_vector(v) -> list[str]:
 # -- output --------------------------------------------------------------------
 
 
-def _emit(payload, config: RunConfig) -> None:
+def _emit(payload, config: argparse.Namespace) -> None:
     if config.out_format == "csv":
         text = _to_csv(payload)
     else:
@@ -159,7 +134,7 @@ def _datum(label):
         raise ConfigError(str(exc)) from exc
 
 
-def cmd_roots(config: RunConfig) -> int:
+def cmd_roots(config: argparse.Namespace) -> int:
     datum = _datum(config.ctype)
     rows = [{"index": r.index + 1,
              "coords": [int(c) for c in r.coords],
@@ -173,7 +148,7 @@ def cmd_roots(config: RunConfig) -> int:
     return 0
 
 
-def cmd_weyl(config: RunConfig) -> int:
+def cmd_weyl(config: argparse.Namespace) -> int:
     datum = _datum(config.ctype)
     weyl = datum.weyl
     elements = sorted(
@@ -186,7 +161,7 @@ def cmd_weyl(config: RunConfig) -> int:
     return 0
 
 
-def cmd_refine(config: RunConfig) -> int:
+def cmd_refine(config: argparse.Namespace) -> int:
     datum = _datum(config.ctype)
     cp = random_polyhedron(datum, random.Random(f"cli:{config.ctype}:{config.seed}"))
     refinement = canonical_refinement(cp)
@@ -242,7 +217,7 @@ def _batch_rows(path: str, width: int, what: str):
             yield vals
 
 
-def _gamma_points(config: RunConfig, dim: int):
+def _gamma_points(config: argparse.Namespace, dim: int):
     if config.batch:
         for vals in _batch_rows(config.batch, 2 * dim, "H then X"):
             yield vals[:dim], vals[dim:]
@@ -252,22 +227,21 @@ def _gamma_points(config: RunConfig, dim: int):
         yield config.h, config.x
 
 
-def cmd_gamma(config: RunConfig) -> int:
+def cmd_gamma(config: argparse.Namespace) -> int:
     datum = _datum(config.ctype)
     _check_subset(datum, config.p_subset)
-    ctx = TruncationContext(datum)
     rows = []
     for h, x in _gamma_points(config, datum.dim):
         if len(h) != datum.dim or len(x) != datum.dim:
             raise ConfigError(f"H and X must have {datum.dim} coordinates")
         rows.append({"H": fmt_vector(h), "X": fmt_vector(x),
-                     "gamma": ctx.gamma(config.p_subset, h, x)})
+                     "gamma": datum.truncation.gamma(config.p_subset, h, x)})
     payload = rows[0] if not config.batch else {"rows": rows}
     _emit(payload, config)
     return 0
 
 
-def cmd_qpsum(config: RunConfig) -> int:
+def cmd_qpsum(config: argparse.Namespace) -> int:
     datum = _datum(config.ctype)
     if config.q is None:
         raise ConfigError("qpsum needs --q")
@@ -316,7 +290,7 @@ def _sll_row(torus, ka: int, kb: int) -> dict:
     return row
 
 
-def cmd_slltrace(config: RunConfig) -> int:
+def cmd_slltrace(config: argparse.Namespace) -> int:
     if config.q is None or config.l is None:
         raise ConfigError("slltrace needs --q and --l")
     try:
@@ -344,11 +318,12 @@ def cmd_slltrace(config: RunConfig) -> int:
     return 0
 
 
-def cmd_filtercheck(config: RunConfig) -> int:
+def cmd_filtercheck(config: argparse.Namespace) -> int:
     group = config.group.upper()
-    if not group.startswith("SL") or not group[2:].isdigit():
-        raise ConfigError(f"unsupported group {config.group!r} (expected SLn)")
-    n = int(group[2:])
+    n = int(group[2:]) if group.startswith("SL") and group[2:].isdigit() else 0
+    if n < 2:
+        raise ConfigError(f"unsupported group {config.group!r} "
+                          f"(expected SLn with n >= 2)")
     if config.q is None:
         raise ConfigError("filtercheck needs --q")
     if factor_prime_power(config.q) is None:
@@ -375,7 +350,7 @@ def cmd_filtercheck(config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: argparse.Namespace) -> int:
     if config.samples is not None and config.samples < 0:
         raise ConfigError(f"--samples must be >= 0, got {config.samples}")
     if config.suite != "all" and config.suite not in SUITES:
@@ -532,19 +507,14 @@ def _load_config(parser_for_cmd, argv, ns):
     return merged
 
 
-def _to_config(ns) -> RunConfig:
-    kwargs = {}
-    for f in fields(RunConfig):
-        if hasattr(ns, f.name):
-            kwargs[f.name] = getattr(ns, f.name)
-    config = RunConfig(**kwargs)
-    if isinstance(config.p_subset, str):
-        config.p_subset = parse_subset(config.p_subset)
-    if isinstance(config.h, str):
-        config.h = parse_vector(config.h)
-    if isinstance(config.x, str):
-        config.x = parse_vector(config.x)
-    return config
+def _to_config(ns) -> argparse.Namespace:
+    """The parsed flags, with --P, --H and --X read as tuples."""
+    if isinstance(getattr(ns, "p_subset", None), str):
+        ns.p_subset = parse_subset(ns.p_subset)
+    for name in ("h", "x"):
+        if isinstance(getattr(ns, name, None), str):
+            setattr(ns, name, parse_vector(getattr(ns, name)))
+    return ns
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,7 @@ by the simple coroots in ``I`` and ``a_P`` is the common kernel of those
 simple roots; :func:`projector_to_aP` is the projection onto ``a_P`` along
 ``a_B^P``.  It and :func:`relative_weight` are the building blocks of the
 relative root/weight families Delta_P^Q and hat-Delta_P^Q, which
-:meth:`trunca.truncation.TruncationContext.walls` serves as covectors on
+``datum.truncation.walls`` serves, once per nested pair, as covectors on
 all of ``a_B``, so callers can pair them against anything without tracking
 which subspace they came from.
 """
@@ -55,20 +55,29 @@ class SemiStandardParabolic:
         return f"SemiStandardParabolic(subset={self.subset}, rep={self.rep.label})"
 
 
-def enumerate_semistandard(datum: RootDatum):
-    """All semi-standard parabolics: subsets paired with minimal coset reps.
+def enumerate_semistandard(datum: RootDatum, q_subset=None):
+    """The semi-standard parabolics inside the standard parabolic of
+    ``q_subset`` (the full group by default): each subset of it, ordered as
+    in :func:`enumerate_standard`, paired with the minimal coset reps that
+    lie in the Weyl subgroup of ``q_subset``, in element order.
 
     >>> from trunca.rootdata import build_root_datum
     >>> len(enumerate_semistandard(build_root_datum("A1")))
     3
     >>> len(enumerate_semistandard(build_root_datum("A2")))
     13
+    >>> len(enumerate_semistandard(build_root_datum("A2"), (0,)))
+    3
     """
     weyl = datum.weyl
+    q = tuple(range(datum.rank_ss)) if q_subset is None else tuple(sorted(q_subset))
+    elements = weyl.subgroup(q)
     out = []
-    for subset in enumerate_standard(datum):
-        for w in weyl.coset_min_reps(subset):
-            out.append(SemiStandardParabolic(subset, w))
+    for size in range(len(q) + 1):
+        for subset in combinations(q, size):
+            table = weyl.min_reps(subset)
+            out.extend(SemiStandardParabolic(subset, w)
+                       for w in elements if table[w.index] == w.index)
     return tuple(out)
 
 

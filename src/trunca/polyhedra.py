@@ -8,10 +8,11 @@ the facets of maximal degree there is a unique largest one — the canonical
 refinement.  An alternating sum over all facets recovers the indicator of
 the semistable (refinement = full group) case.
 
-All hot paths run off three layers of caching: the Weyl group's coset
-tables (``WeylGroup.min_reps``), per-datum tables (root-sum covectors and
-candidate facet lists) shared by every polyhedron over that datum, and
-per-polyhedron transported vertices ``s(X_s)`` computed once.
+Every polyhedron over a datum reads the datum's tables: its Weyl group's
+coset tables (``WeylGroup.min_reps``) and its nested-pair tables
+(``datum.truncation``: the root sums behind the degrees and the relative
+roots and weights behind the refinement checks).  Each polyhedron computes
+its transported vertices ``s(X_s)`` once.
 """
 
 from __future__ import annotations
@@ -23,9 +24,13 @@ from itertools import combinations
 
 from .errors import ConsistencyError
 from .linalg import dot, frac, vadd, vsub, zero_vec
-from .parabolic import SemiStandardParabolic, enumerate_standard, semistandard_contains
+from .parabolic import (
+    SemiStandardParabolic,
+    enumerate_semistandard,
+    enumerate_standard,
+    semistandard_contains,
+)
 from .rootdata import Folding, RootDatum, WeylElement
-from .truncation import TruncationContext
 
 
 class ComplementaryPolyhedron:
@@ -183,53 +188,6 @@ def random_polyhedron(datum: RootDatum, seed,
     raise ConsistencyError("could not sample a wall-free polyhedron")
 
 
-# -- shared per-datum tables --------------------------------------------------
-
-class _DatumTables:
-    def __init__(self, datum: RootDatum):
-        self.datum = datum
-        self.ctx = TruncationContext(datum)
-        self._root_sum = {}
-        self._candidates = {}
-
-    def root_sum(self, i_subset, q_subset):
-        """Covector: sum of reduced positive roots supported in Q but not in I."""
-        key = (tuple(sorted(i_subset)), tuple(sorted(q_subset)))
-        if key not in self._root_sum:
-            i_set, q_set = set(key[0]), set(key[1])
-            total = list(zero_vec(self.datum.dim))
-            for r in self.datum.positive_roots(reduced_only=True):
-                supp = {a for a, cc in enumerate(r.coords) if cc}
-                if supp <= q_set and not supp <= i_set:
-                    total = [a + b for a, b in zip(total, r.cov)]
-            self._root_sum[key] = tuple(total)
-        return self._root_sum[key]
-
-    def candidates(self, q_subset):
-        """All semi-standard facets contained in the standard parabolic of
-        q_subset: subset inside it, rep in its Weyl subgroup."""
-        q_subset = tuple(sorted(q_subset))
-        if q_subset not in self._candidates:
-            weyl = self.datum.weyl
-            sub_elems = weyl.subgroup(q_subset)
-            out = []
-            for size in range(len(q_subset) + 1):
-                for subset in combinations(q_subset, size):
-                    for w in sub_elems:
-                        if weyl.is_min_rep(w, subset):
-                            out.append(SemiStandardParabolic(subset, w))
-            self._candidates[q_subset] = tuple(out)
-        return self._candidates[q_subset]
-
-
-def _tables(datum: RootDatum) -> _DatumTables:
-    """The datum's tables, cached on the datum itself so they die with it."""
-    tables = datum.__dict__.get("_polyhedra_tables")
-    if tables is None:
-        tables = datum._polyhedra_tables = _DatumTables(datum)
-    return tables
-
-
 def vertex_walls_clear(cp: ComplementaryPolyhedron) -> bool:
     """Do all facet functionals avoid zero on every transported vertex?
 
@@ -237,7 +195,7 @@ def vertex_walls_clear(cp: ComplementaryPolyhedron) -> bool:
     projected simple root and every relative fundamental weight pairs
     nonzero against every s(X_s).
     """
-    ctx = _tables(cp.datum).ctx
+    ctx = cp.datum.truncation
     covs = []
     for subset in enumerate_standard(cp.datum):
         covs.extend(ctx.walls((), subset)[1])
@@ -250,10 +208,6 @@ def vertex_walls_clear(cp: ComplementaryPolyhedron) -> bool:
 
 
 # -- facet degrees and refinement ---------------------------------------------
-
-def _full(datum: RootDatum):
-    return tuple(range(datum.rank_ss))
-
 
 def degree(cp: ComplementaryPolyhedron, facet: SemiStandardParabolic,
            q_subset=None) -> Fraction:
@@ -269,14 +223,13 @@ def degree(cp: ComplementaryPolyhedron, facet: SemiStandardParabolic,
     >>> degree(cp, SemiStandardParabolic((), d.weyl.identity))
     Fraction(2, 1)
     """
+    ctx = cp.datum.truncation
     if q_subset is None:
-        q_subset = _full(cp.datum)
+        q_subset = ctx.full
     if not set(facet.subset) <= set(q_subset):
         raise ValueError(f"facet subset {facet.subset} is not inside "
                          f"{tuple(q_subset)}")
-    tab = _tables(cp.datum)
-    cov = tab.root_sum(facet.subset, q_subset)
-    return dot(cov, cp.transported()[facet.rep.index])
+    return dot(ctx.root_sum(facet.subset, q_subset), cp.transported()[facet.rep.index])
 
 
 def is_semistable(cp: ComplementaryPolyhedron, facet: SemiStandardParabolic,
@@ -291,7 +244,7 @@ def is_semistable(cp: ComplementaryPolyhedron, facet: SemiStandardParabolic,
     if q_subset is not None:
         if not set(facet.subset) <= set(q_subset):
             raise ValueError("facet is not inside the given parabolic")
-    tab = _tables(datum)
+    ctx = datum.truncation
     weyl = datum.weyl
     trans = cp.transported()
     p_subset = tuple(sorted(facet.subset))
@@ -299,7 +252,7 @@ def is_semistable(cp: ComplementaryPolyhedron, facet: SemiStandardParabolic,
     coset = [v for v in weyl.elements if minrep_p[v.index] == facet.rep.index]
     for size in range(len(p_subset)):
         for r_subset in combinations(p_subset, size):
-            weights = tab.ctx.walls(r_subset, p_subset)[1]
+            weights = ctx.walls(r_subset, p_subset)[1]
             minrep_r = weyl.min_reps(r_subset)
             seen = set()
             for v in coset:
@@ -332,16 +285,14 @@ def canonical_refinement(cp: ComplementaryPolyhedron,
     SemiStandardParabolic(subset=(0,), rep=e)
     """
     datum = cp.datum
-    if q_subset is None:
-        q_subset = _full(datum)
-    q_subset = tuple(sorted(q_subset))
-    tab = _tables(datum)
+    ctx = datum.truncation
+    q_subset = ctx.full if q_subset is None else tuple(sorted(q_subset))
     trans = cp.transported()
 
     best = None
     best_set = []
-    for cand in tab.candidates(q_subset):
-        val = dot(tab.root_sum(cand.subset, q_subset), trans[cand.rep.index])
+    for cand in enumerate_semistandard(datum, q_subset):
+        val = dot(ctx.root_sum(cand.subset, q_subset), trans[cand.rep.index])
         if best is None or val > best:
             best = val
             best_set = [cand]
@@ -359,7 +310,8 @@ def canonical_refinement(cp: ComplementaryPolyhedron,
     if not is_semistable(cp, facet, q_subset):
         raise ConsistencyError(f"refinement {facet} is not semistable")
     point = trans[facet.rep.index]
-    for j, cov in tab.ctx.delta(facet.subset, q_subset):
+    between = [j for j in q_subset if j not in facet.subset]
+    for j, cov in zip(between, ctx.walls(facet.subset, q_subset)[0], strict=True):
         if dot(cov, point) <= 0:
             raise ConsistencyError(
                 f"refinement {facet} fails strict positivity at "
@@ -373,15 +325,14 @@ def semistability_indicator(cp: ComplementaryPolyhedron) -> int:
     group (asserted), 0 otherwise.
     """
     datum = cp.datum
-    tab = _tables(datum)
+    ctx = datum.truncation
     trans = cp.transported()
-    n = datum.rank_ss
-    full = _full(datum)
+    full = ctx.full
     total = 0
-    for cand in tab.candidates(full):
+    for cand in enumerate_semistandard(datum):
         point = trans[cand.rep.index]
-        if tab.ctx.tau_hat(cand.subset, full, point):
-            total += (-1) ** (n - len(cand.subset))
+        if all(dot(wt, point) > 0 for wt in ctx.walls(cand.subset, full)[1]):
+            total += (-1) ** (len(full) - len(cand.subset))
     ref = canonical_refinement(cp, full)
     expected = 1 if (ref.subset == full and ref.rep.length == 0) else 0
     if total != expected:

@@ -52,7 +52,7 @@ from .linalg import (
 )
 from .linalg import integer_smith, scaled_int_vec
 from .rootdata import RootDatum
-from .truncation import TruncationContext, _norm_subset
+from .truncation import _norm_subset
 
 
 def _binomial(k: int, i: int) -> Fraction:
@@ -214,8 +214,6 @@ class LatticeSpec:
 
         self.x_basis = tuple(vec(x) for x in
                              datum.fundamental_coweights + datum.central_basis)
-        self._ctx = TruncationContext(datum)
-
         if self.rank:
             t_mat = tuple(tuple(b[j] for b in self.basis) for j in rest)
             try:
@@ -239,8 +237,7 @@ class LatticeSpec:
         dens.extend(lcm_den(datum.fundamental_weights[j]) for j in rest)
         self.denominator = math.lcm(*dens)
 
-        lambda0, k_table = self._pick_direction(raw)
-        self.direction = lambda0
+        k_table = self._pick_direction(raw)
 
         cones = []
         for (q, _, duals, with_x, coords), k_vals in zip(raw, k_table, strict=True):
@@ -265,7 +262,8 @@ class LatticeSpec:
         """Basis of the lattice's ambient space adapted to the superset q, its
         dual covectors (the relative roots of (subset, q), then the
         fundamental weights outside q) and which duals also pair with X."""
-        datum, ctx = self.datum, self._ctx
+        datum = self.datum
+        ctx = datum.truncation
         roots = ctx.walls(self.subset, q)[0]
         weights = ctx.walls(q, ctx.full)[1]
         positions = {j: i for i, j in enumerate(q)}
@@ -286,11 +284,11 @@ class LatticeSpec:
                 (False,) * len(roots) + (True,) * len(weights))
 
     def _pick_direction(self, raw):
-        """A covector pairing nonzero with every adapted basis vector.
+        """The integer exponent table of a covector pairing nonzero with
+        every adapted basis vector.
 
         Scans lambda(s) = sum of s**position * (fundamental weight) over the
-        complement of the subset, taking the first s that works, and returns
-        the covector together with the integer exponent table it induces.
+        complement of the subset and takes the first s that works.
         """
         datum = self.datum
         rest = [j for j in range(len(datum.cartan)) if j not in self.subset]
@@ -303,7 +301,7 @@ class LatticeSpec:
             if all(p != 0 for row in pairings for p in row):
                 scale = lcm_den([p for row in pairings for p in row])
                 k_table = [tuple(int(-scale * p) for p in row) for row in pairings]
-                return lam, k_table
+                return k_table
         raise ConsistencyError("no generic direction found")  # pragma: no cover
 
     @functools.cached_property
@@ -355,8 +353,7 @@ def standard_lattice_spec(datum: RootDatum, subset) -> LatticeSpec:
     ((Fraction(2, 1),),)
     """
     subset = _norm_subset(datum, subset)
-    ctx = TruncationContext(datum)
-    proj = ctx.projector(subset)
+    proj = datum.truncation.projector(subset)
     basis = [matvec(proj, datum.simple_coroots[j])
              for j in range(len(datum.cartan)) if j not in subset]
     return LatticeSpec(datum, subset, basis)
@@ -384,7 +381,7 @@ def brute_sum(spec: LatticeSpec, x, certify: bool = False) -> Fraction:
     x = vec(x)
     if len(x) != spec.datum.dim:
         raise ValueError("parameter has the wrong dimension")
-    ctx = spec._ctx
+    ctx = spec.datum.truncation
     if spec.rank == 0:
         return Fraction(ctx.gamma(spec.subset, spec.base_point, x))
     box = ctx.gamma_support_box(spec.subset, x)
@@ -424,7 +421,7 @@ def _coordinate_ranges(spec: LatticeSpec, box, margin: int):
 
 def _sum_over_ranges(spec: LatticeSpec, x, ranges) -> Fraction:
     lo, hi = ranges
-    ctx = spec._ctx
+    ctx = spec.datum.truncation
     total = Fraction(0)
     for n in enumerate_box(lo, hi):
         h = spec.base_point

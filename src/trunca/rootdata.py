@@ -43,9 +43,7 @@ from functools import cached_property
 
 from .errors import CartanMatrixError, ConsistencyError, FoldingError
 from .linalg import (
-    Vec,
     basis_vec,
-    dot,
     frac,
     is_positive_definite,
     mat_inverse,
@@ -146,8 +144,9 @@ def _validate_gcm(rows):
 
 
 def _symmetrizer(rows):
-    """Rational d_j > 0 with rows[i][j]*d[j] == rows[j][i]*d[i], normalized so
-    the minimum over each connected component is 1 (short roots have squared
+    """The Gram matrix rows[i][j]*d[j] of the simple roots, for the rational
+    d_j > 0 with rows[i][j]*d[j] == rows[j][i]*d[i], normalized so the
+    minimum over each connected component is 1 (short roots have squared
     length 2 per simple factor).  Raises if not symmetrizable or not finite."""
     n = len(rows)
     d = [None] * n
@@ -182,7 +181,7 @@ def _symmetrizer(rows):
     if n and not is_positive_definite(sym):
         raise CartanMatrixError(
             "matrix is not of finite type (symmetrization is not positive definite)")
-    return tuple(d), sym, tuple(components)
+    return sym
 
 
 @dataclass(frozen=True)
@@ -247,7 +246,7 @@ class RootDatum:
         self.dim = self.rank_ss + rank_central
         self.label = label if label is not None else (
             kind if isinstance(kind, str) else f"cartan{self.rank_ss}")
-        self.symmetrizer, self.gram, self.components = _symmetrizer(rows)
+        self.gram = _symmetrizer(rows)
 
         n, dim = self.rank_ss, self.dim
         self.simple_roots = tuple(
@@ -311,6 +310,13 @@ class RootDatum:
     def weyl(self) -> "WeylGroup":
         return generate_weyl(self)
 
+    @cached_property
+    def truncation(self):
+        """The datum's one table of nested parabolic pairs, built on first
+        use and dropped with the datum."""
+        from .truncation import TruncationContext  # truncation imports this module
+        return TruncationContext(self)
+
 
 def build_root_datum(kind, rank_central: int = 0, label: str | None = None) -> RootDatum:
     """Build a root datum from a type label or an explicit Cartan matrix.
@@ -326,20 +332,6 @@ def build_root_datum(kind, rank_central: int = 0, label: str | None = None) -> R
     trunca.errors.CartanMatrixError: matrix is not of finite type (symmetrization is not positive definite)
     """
     return RootDatum(kind, rank_central, label)
-
-
-def pairing(cov: Vec, v: Vec) -> Fraction:
-    """Canonical pairing between a covector and a vector.
-
-    Both live in coordinates of the same ambient space, so this is a plain
-    dot product with a dimension check.
-
-    >>> pairing((1, 0), (3, 5))
-    Fraction(3, 1)
-    """
-    if len(cov) != len(v):
-        raise ValueError(f"dimension mismatch: {len(cov)} vs {len(v)}")
-    return dot(cov, v)
 
 
 class WeylElement:
@@ -443,18 +435,9 @@ class WeylGroup:
             table = self._min_reps[key] = tuple(table)
         return table
 
-    def is_min_rep(self, w: WeylElement, subset) -> bool:
-        """Is w the minimal-length element of W_subset * w?"""
-        return self.min_reps(subset)[w.index] == w.index
-
     def min_rep(self, w: WeylElement, subset) -> WeylElement:
         """The unique minimal-length element of the coset W_subset * w."""
         return self.elements[self.min_reps(subset)[w.index]]
-
-    def coset_min_reps(self, subset):
-        """Minimal-length representatives of W_subset \\ W, in element order."""
-        table = self.min_reps(subset)
-        return tuple(w for w in self.elements if table[w.index] == w.index)
 
     def subgroup(self, subset):
         """Elements of the standard parabolic subgroup W_subset: those whose

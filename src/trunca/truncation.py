@@ -1,11 +1,13 @@
 """Cone characteristic functions on parabolic families and their
 alternating sums.
 
-For each nested pair P <= Q of standard parabolics,
-``TruncationContext.walls`` tabulates the relative simple roots and the
-relative fundamental weights, once per pair, and ``delta`` labels the
-roots by index.  Strict positivity against them is the acute cone tau and
-the obtuse cone ``tau_hat`` of the pair.
+A root datum has one :class:`TruncationContext`, ``datum.truncation``, and
+it is the one home of the tables of nested pairs P <= Q of standard
+parabolics: ``walls`` gives the relative simple roots and the relative
+fundamental weights of a pair, ``root_sum`` the sum of the reduced positive
+roots of Q outside P, each built once per pair.  Strict positivity against
+the roots or the weights of ``walls`` is the acute cone tau or the obtuse
+cone tau-hat of the pair.
 ``langlands_inversion_check`` evaluates the alternating sum over
 intermediate parabolics that should telescope to a Kronecker delta, and
 ``gamma`` is the compactly-supported alternating-sum function whose support
@@ -70,15 +72,21 @@ class SupportBox:
         return all(lo <= dot(cov, h) <= hi for _, cov, lo, hi in self.entries)
 
 
+def _require_nested(p, q) -> None:
+    if not set(p) <= set(q):
+        raise ValueError(f"parabolic {p} is not contained in {q}")
+
+
 class TruncationContext:
-    """Relative root and weight tables for one root datum, one entry per
-    nested pair of standard parabolics."""
+    """The tables of nested pairs of standard parabolics of one root datum,
+    one entry per pair; ``datum.truncation`` is the datum's one context."""
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
         self.full = tuple(range(datum.rank_ss))
         self._proj = {}
         self._walls = {}
+        self._root_sum = {}
 
     def projector(self, subset):
         subset = _norm_subset(self.datum, subset)
@@ -93,15 +101,13 @@ class TruncationContext:
         simple coroot of P.
 
         >>> from trunca.rootdata import build_root_datum
-        >>> ctx = TruncationContext(build_root_datum("A2"))
-        >>> ctx.walls((0,), (0, 1))
+        >>> build_root_datum("A2").truncation.walls((0,), (0, 1))
         (((Fraction(1, 2), Fraction(1, 1)),), ((Fraction(1, 3), Fraction(2, 3)),))
         """
         p, q = _norm_subset(self.datum, p_subset), _norm_subset(self.datum, q_subset)
         key = (p, q)
         if key not in self._walls:
-            if not set(p) <= set(q):
-                raise ValueError(f"parabolic {p} is not contained in {q}")
+            _require_nested(p, q)
             between = [j for j in q if j not in p]
             # alpha_j o proj_P does not depend on Q, nor varpi_j^Q on P: each
             # is built once, on the pair (P, G), respectively ((), Q).
@@ -120,29 +126,25 @@ class TruncationContext:
             self._walls[key] = (roots, weights)
         return self._walls[key]
 
-    def delta(self, p_subset, q_subset):
-        """(j, alpha_j o proj_P) for j in Q - P, ascending: the roots of
-        ``walls`` labelled by their index.
+    def root_sum(self, p_subset, q_subset):
+        """The covector 2 rho_P^Q of the nested pair P <= Q: the sum of the
+        reduced positive roots supported in Q but not in P.
 
         >>> from trunca.rootdata import build_root_datum
-        >>> TruncationContext(build_root_datum("A2")).delta((0,), (0, 1))
-        ((1, (Fraction(1, 2), Fraction(1, 1))),)
+        >>> build_root_datum("A2").truncation.root_sum((0,), (0, 1))
+        (1, 2)
         """
-        p, q = _norm_subset(self.datum, p_subset), _norm_subset(self.datum, q_subset)
-        return tuple(zip([j for j in q if j not in p], self.walls(p, q)[0], strict=True))
-
-    def tau_hat(self, p_subset, q_subset, h) -> bool:
-        """Obtuse-cone indicator: every relative fundamental weight of
-        ``walls`` strictly positive on h.
-
-        >>> from trunca.rootdata import build_root_datum
-        >>> ctx = TruncationContext(build_root_datum("A2"))
-        >>> h = tuple(a - b for a, b in zip(ctx.datum.simple_coroots[0],
-        ...                                 ctx.datum.simple_coroots[1]))
-        >>> ctx.tau_hat((), (0, 1), h)
-        False
-        """
-        return all(dot(wt, h) > 0 for wt in self.walls(p_subset, q_subset)[1])
+        key = (_norm_subset(self.datum, p_subset), _norm_subset(self.datum, q_subset))
+        if key not in self._root_sum:
+            _require_nested(*key)
+            p, q = set(key[0]), set(key[1])
+            total = [0] * self.datum.dim
+            for r in self.datum.positive_roots(reduced_only=True):
+                support = {a for a, c in enumerate(r.coords) if c}
+                if support <= q and not support <= p:
+                    total = [a + b for a, b in zip(total, r.cov)]
+            self._root_sum[key] = tuple(total)
+        return self._root_sum[key]
 
     # -- alternating sums ----------------------------------------------------
 
@@ -175,7 +177,7 @@ class TruncationContext:
         input (walls contribute through the strict inequalities; no errors).
 
         >>> from trunca.rootdata import build_root_datum
-        >>> ctx = TruncationContext(build_root_datum("A1"))
+        >>> ctx = build_root_datum("A1").truncation
         >>> [ctx.gamma((), (Fraction(t, 2),), (2,)) for t in range(-1, 6)]
         [0, 0, 1, 1, 1, 1, 0]
         """

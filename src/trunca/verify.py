@@ -126,7 +126,7 @@ def suite_inversion(samples: int = 1000, seed: int = 0,
     records = []
     for tname in types:
         datum = build_root_datum(tname)
-        ctx = TruncationContext(datum)
+        ctx = datum.truncation
         rng = random.Random(f"inversion:{tname}:{seed}")
         points, pairs = _wall_free_points(ctx, rng, samples)
         failures = []
@@ -149,7 +149,7 @@ def suite_gamma(samples: int = 1000, seed: int = 0,
     records = []
     for tname in types:
         datum = build_root_datum(tname)
-        ctx = TruncationContext(datum)
+        ctx = datum.truncation
         rng = random.Random(f"inversion:{tname}:{seed}")  # the same sampling
         points, _ = _wall_free_points(ctx, rng, samples)
         proper = [s for s in enumerate_standard(datum)

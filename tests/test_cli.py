@@ -189,6 +189,8 @@ def test_config_file(tmp_path, capsys):
     ("slltrace", "--q", "2", "--l", "3", "--theta-lambda", "1.5", "--theta-mu", "1"),
     ("filtercheck", "--q", "5", "--theta-lambda", "x", "--theta-mu", "1"),
     ("filtercheck", "--q", "5", "--theta-lambda", "1/0", "--theta-mu", "1"),
+    ("filtercheck", "--group", "SL1", "--q", "5",
+     "--theta-lambda", "1", "--theta-mu", "2"),
 ])
 def test_invalid_configuration_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -81,12 +81,42 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _local_names(func):
+    """Names a function binds itself: its parameters and every name it
+    assigns, those of nested functions excepted."""
+    args = func.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names.update(a.arg for a in (args.vararg, args.kwarg) if a)
+    stack = list(func.body) if isinstance(func.body, list) else [func.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def _code_references(node):
     """Names the code under ``node`` reads, attributes included; docstrings
-    and ``__all__`` are strings, so they do not count."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                   for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+    and ``__all__`` are strings, so they do not count, and neither does a
+    name inside a function that binds it itself (a local of the same name
+    is not the module's definition)."""
+    refs = Counter()
+    stack = [(node, frozenset())]
+    while stack:
+        item, local = stack.pop()
+        if isinstance(item, _SCOPES):
+            local = local | _local_names(item)
+        if isinstance(item, ast.Attribute):
+            refs[item.attr] += 1
+        elif isinstance(item, ast.Name) and item.id not in local:
+            refs[item.id] += 1
+        stack.extend((child, local) for child in ast.iter_child_nodes(item))
+    return refs
 
 
 def test_every_public_definition_is_reached():

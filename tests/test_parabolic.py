@@ -57,6 +57,11 @@ def test_semistandard_count(kind, count):
     # each representative is minimal in its coset
     for f in facets:
         assert datum.weyl.min_rep(f.rep, f.subset) == f.rep
+    # the facets inside Q are those inside Q's subset with a rep in W_Q
+    for q in subsets(datum.rank_ss):
+        inside = tuple(f for f in facets
+                       if set(f.subset) <= set(q) and set(f.rep.word) <= set(q))
+        assert enumerate_semistandard(datum, q) == inside
 
 
 @pytest.mark.parametrize("kind", ["A2", "B2", "G2", "A3"])
@@ -160,3 +165,5 @@ def test_delta_pq_requires_containment():
     with pytest.raises(ValueError, match="not contained"):
         ctx.walls([1], [])
     assert ctx.walls((), ()) == ((), ())
+    with pytest.raises(ValueError, match=r"^parabolic \(0,\) is not contained in \(1,\)$"):
+        ctx.root_sum((0,), (1,))

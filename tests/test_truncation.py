@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from trunca.errors import WallError
 from trunca.linalg import dot, matvec, vadd, vecmat, vscale
 from trunca.parabolic import enumerate_standard, projector_to_aP, relative_weight
+from trunca.polyhedra import canonical_refinement, random_polyhedron, semistability_indicator
 from trunca.quasipoly import brute_sum, standard_lattice_spec
-from trunca.rootdata import build_root_datum
+from trunca.rootdata import build_root_datum, fold
 from trunca.truncation import TruncationContext
 from trunca.verify import INVERSION_TYPES
 
@@ -311,11 +312,13 @@ def test_inversion_holds_next_to_every_wall(inputs):
 
 
 def test_context_caches_stay_bounded():
-    # Many distinct X and h leave at most one walls entry per nested pair
-    # and one projector per subset: nothing keyed by X or h is kept.
+    # gamma, brute_sum and the refinement checks of many distinct X, h and
+    # polyhedra share the datum's one context, and leave in it at most one
+    # walls and one root_sum entry per nested pair and one projector per
+    # subset: nothing keyed by X, h or a polyhedron is kept.
     datum = build_root_datum("A2")
     spec = standard_lattice_spec(datum, ())
-    ctx = spec._ctx
+    ctx = datum.truncation
     n = datum.rank_ss
     rng = random.Random("caches")
 
@@ -323,11 +326,46 @@ def test_context_caches_stay_bounded():
         for _ in range(rounds):
             brute_sum(spec, (rng.randint(-3, 4), rng.randint(-3, 4)))
             h, x = _rational_points(datum.dim, 2, rng.random())
+            cp = random_polyhedron(datum, rng.random())
+            semistability_indicator(cp)
             for p in enumerate_standard(datum):
                 ctx.gamma(p, h, x)
                 ctx.gamma_support_box(p, x)
+                canonical_refinement(cp, p)
         return sum(len(v) for v in vars(ctx).values() if isinstance(v, dict))
 
     first = use(10)
     assert use(30) == first
-    assert len(ctx._walls) <= 3 ** n and len(ctx._proj) <= 2 ** n
+    assert spec.datum.truncation is datum.truncation
+    assert not any(isinstance(v, TruncationContext) for v in vars(spec).values())
+    assert len(ctx._walls) <= 3 ** n and len(ctx._root_sum) <= 3 ** n
+    assert len(ctx._proj) <= 2 ** n
+
+
+def _root_sum_data():
+    data = [build_root_datum(kind) for kind in
+            ("A1", "A1xA1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4", "F4")]
+    data += [fold(build_root_datum("A3"), (2, 1, 0)).small,
+             fold(build_root_datum("A4"), (3, 2, 1, 0)).small]  # C2 and BC2
+    return data
+
+
+@pytest.mark.parametrize("datum", _root_sum_data(), ids=lambda d: d.label)
+def test_root_sum_is_twice_the_relative_weight_sums(datum):
+    # 2 rho_P^Q = 2 rho_Q - 2 rho_P, and 2 rho_Q is twice the sum of the
+    # Q-relative fundamental weights: both pair to 2 with every simple
+    # coroot of Q and vanish on a_Q.
+    ctx = datum.truncation
+
+    def two_rho(q):
+        total = (Fraction(0),) * datum.dim
+        for weight in ctx.walls((), q)[1]:
+            total = vadd(total, vscale(2, weight))
+        return total
+
+    subsets = enumerate_standard(datum)
+    for q in subsets:
+        for p in subsets:
+            if set(p) <= set(q):
+                want = vadd(two_rho(q), vscale(-1, two_rho(p)))
+                assert ctx.root_sum(p, q) == want, (p, q)
