@@ -67,7 +67,7 @@ from .rootdata import (
     fold,
     generate_weyl,
 )
-from .truncation import SupportBox, TruncationContext
+from .truncation import TruncationContext
 from .verify import ReportRecord, run_suites
 
 __all__ = [
@@ -90,7 +90,6 @@ __all__ = [
     "enumerate_standard",
     "projector_to_aP",
     "relative_weight",
-    "SupportBox",
     "TruncationContext",
     "ComplementaryPolyhedron",
     "ValidationResult",

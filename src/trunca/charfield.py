@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, _poly_divmod_monic
 from .errors import ConsistencyError
 
 
@@ -60,25 +60,6 @@ def _is_prime(n: int) -> bool:
 # finite fields, just big enough for the additive model
 
 
-def _poly_mod(a, b, p):
-    """Remainder of a modulo b over F_p, every coefficient in 0..p-1; b need
-    not be monic here, but is."""
-    a = [c % p for c in a]
-    db, lead = len(b) - 1, b[-1]
-    inv = pow(lead, -1, p)
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        c = (a[-1] * inv) % p
-        shift = len(a) - 1 - db
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        a.pop()
-    return a
-
-
 def _least_irreducible(p: int, e: int) -> tuple:
     """Low coefficients of the lex-least monic irreducible of degree e.
 
@@ -97,7 +78,7 @@ def _least_irreducible(p: int, e: int) -> tuple:
             divisors.append(list(low) + [1])
     for low in itertools.product(range(p), repeat=e):
         f = list(low) + [1]
-        if all(any(_poly_mod(f, g, p)) for g in divisors):
+        if all(any(c % p for c in _poly_divmod_monic(f, g)[1]) for g in divisors):
             return tuple(low)
     raise ConsistencyError(f"no irreducible of degree {e} over F_{p}")  # pragma: no cover
 
@@ -180,7 +161,7 @@ class FiniteField:
             for i, x in enumerate(a):
                 for j, y in enumerate(b):
                     raw[i + j] += x * y
-            rem = _poly_mod(raw, full, p)[:e]  # zero keeps its raw length
+            rem = [c % p for c in _poly_divmod_monic(raw, full)[1]]
             return tuple(rem) + (0,) * (e - len(rem))
 
         # the first nonzero g whose powers reach every nonzero element

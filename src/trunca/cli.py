@@ -195,12 +195,13 @@ def _check_subset(datum, subset) -> None:
 
 def _batch_rows(path: str, width: int, what: str):
     """The rational rows of a --batch CSV, skipping blank and # lines; an
-    unreadable file or a malformed row is a configuration problem, as the
-    same flag would be."""
+    unreadable file, a malformed row or a file without rows is a
+    configuration problem, as the same flag would be."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read --batch file: {exc}") from exc
+    rows = []
     with fh:
         reader = csv.reader(fh)
         for row in reader:
@@ -211,10 +212,12 @@ def _batch_rows(path: str, width: int, what: str):
                 raise ConfigError(f"{where}: batch rows need {width} entries "
                                   f"({what}), got {len(row)}")
             try:
-                vals = tuple(parse_rational(c) for c in row)
+                rows.append(tuple(parse_rational(c) for c in row))
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
-            yield vals
+    if not rows:
+        raise ConfigError(f"{path}: the --batch file has no rows")
+    return rows
 
 
 def _gamma_points(config: argparse.Namespace, dim: int):
@@ -278,15 +281,13 @@ def _orbit_min(k: int, q: int, l: int, m: int) -> int:
 
 def _sll_row(torus, ka: int, kb: int) -> dict:
     ta, tb = torus.character(ka), torus.character(kb)
-    gp = general_position(ta) and general_position(tb)
+    # contragredient_test raises unless both characters are in general position
     row = {"k_lambda": ka, "k_mu": kb,
-           "general_position": gp,
+           "general_position": general_position(ta) and general_position(tb),
            "central_ok": central_character_ok(ta, tb),
            "contragredient": contragredient_test(ta, tb),
-           "char_sum": "", "J": ""}
-    if gp:
-        row["char_sum"] = char_sum_regular(ta, tb)
-        row["J"] = fmt_rational(assemble_J(ta, tb, row["char_sum"]))
+           "char_sum": char_sum_regular(ta, tb)}
+    row["J"] = fmt_rational(assemble_J(ta, tb, row["char_sum"]))
     return row
 
 

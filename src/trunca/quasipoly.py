@@ -10,7 +10,8 @@ of X modulo some periods it is a polynomial in X.
 This module evaluates the sum three independent ways so the routes can be
 played against each other:
 
-* ``brute_sum`` -- direct enumeration over a certified support box;
+* ``brute_sum`` -- direct enumeration over certified bounds, read from the
+  vertices of the hyperplane arrangement that bounds the profile's support;
 * ``product_eval`` -- an exact generating-function calculation, where each
   cone in the profile's signed decomposition contributes the sum over its
   fundamental parallelepiped divided by one geometric series per ray, and
@@ -366,11 +367,12 @@ def standard_lattice_spec(datum: RootDatum, subset) -> LatticeSpec:
 def brute_sum(spec: LatticeSpec, x, certify: bool = False) -> Fraction:
     """Sum of the profile over the shifted lattice, by direct enumeration.
 
-    The profile's support box yields bounds on the lattice coordinates (the
-    box corners are pushed through the inverse coordinate matrix); every
-    integer point in those bounds is evaluated.  With ``certify=True`` the
-    sum is recomputed over a strictly larger box and a mismatch raises
-    :class:`ConsistencyError`.
+    The profile's support lies in the convex hull of the arrangement
+    vertices that ``gamma_support_box`` returns, so each lattice coordinate
+    of a support point lies between the least and the greatest of that
+    coordinate over the vertices' images; every integer point in those
+    bounds is evaluated.  With ``certify=True`` the sum is recomputed over
+    strictly wider bounds and a mismatch raises :class:`ConsistencyError`.
 
     >>> from .rootdata import build_root_datum
     >>> d = build_root_datum([[2]])
@@ -384,39 +386,37 @@ def brute_sum(spec: LatticeSpec, x, certify: bool = False) -> Fraction:
     ctx = spec.datum.truncation
     if spec.rank == 0:
         return Fraction(ctx.gamma(spec.subset, spec.base_point, x))
-    box = ctx.gamma_support_box(spec.subset, x)
-    total = _sum_over_ranges(spec, x, _coordinate_ranges(spec, box, margin=0))
+    vertices = ctx.gamma_support_box(spec.subset, x)
+    total = _sum_over_ranges(spec, x, _coordinate_ranges(spec, vertices, margin=0))
     if certify:
-        widened = _sum_over_ranges(spec, x, _coordinate_ranges(spec, box, margin=1))
+        widened = _sum_over_ranges(spec, x, _coordinate_ranges(spec, vertices, margin=1))
         if widened != total:
             raise ConsistencyError(
-                f"support box is not certified: {total} inside, {widened} when doubled")
+                f"support bounds are not certified: {total} inside, {widened} when widened")
     return total
 
 
-def _coordinate_ranges(spec: LatticeSpec, box, margin: int):
-    """Integer bounds on lattice coordinates covering the support box.
+def _coordinate_ranges(spec: LatticeSpec, vertices, margin: int):
+    """Integer bounds on the lattice coordinates of the vertices' hull.
 
-    ``margin=1`` doubles the box about its centre first (plus one step of
-    slack), which is what certification compares against.
+    A vertex t has the lattice coordinates n = T^-1 (t - t0), t0 being the
+    base point's t; each coordinate runs from the ceiling of its least to
+    the floor of its greatest value.  ``margin=1`` first widens each
+    unrounded range by its width plus one on either side, so the widened
+    bounds are strictly wider, which is what certification compares
+    against.
     """
+    ctx = spec.datum.truncation
+    t0 = [dot(cov, spec.base_point) for cov in ctx.walls(spec.subset, ctx.full)[0]]
+    images = [matvec(spec._t_mat_inv, [t - o for t, o in zip(v, t0, strict=True)])
+              for v in vertices]
     lows, highs = [], []
-    for _, _, lo, hi in box.entries:
+    for values in zip(*images):
+        lo, hi = min(values), max(values)
         pad = margin * (hi - lo + 1)
-        lows.append(lo - pad)
-        highs.append(hi + pad)
-    t0 = tuple(dot(cov, spec.base_point) for _, cov, _, _ in box.entries)
-    bounds = [[None, None] for _ in range(spec.rank)]
-    for corner in itertools.product(*[(l, h) for l, h in zip(lows, highs, strict=True)]):
-        shifted = tuple(c - o for c, o in zip(corner, t0, strict=True))
-        sol = matvec(spec._t_mat_inv, shifted)
-        for i, v in enumerate(sol):
-            if bounds[i][0] is None or v < bounds[i][0]:
-                bounds[i][0] = v
-            if bounds[i][1] is None or v > bounds[i][1]:
-                bounds[i][1] = v
-    return (tuple(math.ceil(b[0]) for b in bounds),
-            tuple(math.floor(b[1]) for b in bounds))
+        lows.append(math.ceil(lo - pad))
+        highs.append(math.floor(hi + pad))
+    return tuple(lows), tuple(highs)
 
 
 def _sum_over_ranges(spec: LatticeSpec, x, ranges) -> Fraction:

@@ -11,7 +11,8 @@ cone tau-hat of the pair.
 ``langlands_inversion_check`` evaluates the alternating sum over
 intermediate parabolics that should telescope to a Kronecker delta, and
 ``gamma`` is the compactly-supported alternating-sum function whose support
-``gamma_support_box`` brackets by the vertices of a hyperplane arrangement.
+lies in the convex hull of the hyperplane-arrangement vertices that
+``gamma_support_box`` returns.
 Both sums pair h (and x) with each wall once per call and then share one
 2^m-term sum over subsets.
 
@@ -21,7 +22,6 @@ rationals to zero, and the arrangement's vertices solve rational systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -50,26 +50,6 @@ def _norm_subset(datum: RootDatum, subset) -> tuple[int, ...]:
         if not 0 <= i < datum.rank_ss:
             raise ValueError(f"simple-root index {i} out of range")
     return out
-
-
-@dataclass(frozen=True)
-class SupportBox:
-    """Axis bounds, in root coordinates, bracketing the support of gamma.
-
-    ``entries`` holds one ``(j, covector, lo, hi)`` per simple index outside
-    the parabolic: the covector is ``alpha_j o proj`` and the support lies
-    where every pairing falls inside ``[lo, hi]``.  ``trivial`` marks the
-    full-group case (gamma is constant 1, so there is no box).
-    """
-
-    subset: tuple[int, ...]
-    entries: tuple
-    trivial: bool = False
-
-    def contains(self, h) -> bool:
-        if self.trivial:
-            return True
-        return all(lo <= dot(cov, h) <= hi for _, cov, lo, hi in self.entries)
 
 
 def _require_nested(p, q) -> None:
@@ -192,8 +172,8 @@ class TruncationContext:
 
     # -- support bracketing ---------------------------------------------------
 
-    def gamma_support_box(self, p_subset, x) -> SupportBox:
-        """Certified bounds on the support of ``gamma(P, ., x)``.
+    def gamma_support_box(self, p_subset, x) -> tuple:
+        """The vertices that bound the support of ``gamma(P, ., x)``.
 
         With t_j = <alpha_j o proj, h>, w_j = <varpi_j, h_P> and
         c_j = <varpi_j, x> for j outside P, the alternating sum in
@@ -202,16 +182,22 @@ class TruncationContext:
         lies in K = {t : t_j (w_j - c_j) <= 0 for every j}.  K is a union of
         polytopes, bounded because (<varpi_j, varpi_k^vee>) is a P-matrix
         (Arthur's compactness of Gamma'_P), and their vertices are vertices
-        of the arrangement t_j = 0, w_j = c_j.  The box is the bounding box
-        of the arrangement vertices that lie in K, walls included.
+        of the arrangement t_j = 0, w_j = c_j.  So the support lies in the
+        convex hull of the arrangement vertices in K, walls included, which
+        are returned as tuples of the t_j, j outside P ascending.  For the
+        full group the one vertex is the empty point.
+
+        >>> from trunca.rootdata import build_root_datum
+        >>> ctx = build_root_datum("A1").truncation
+        >>> ctx.gamma_support_box((), (2,))
+        ((Fraction(0, 1),), (Fraction(2, 1),))
+        >>> ctx.gamma_support_box((0,), (2,))
+        ((),)
         """
         p = _norm_subset(self.datum, p_subset)
-        roots, weights = self.walls(p, self.full)
+        weights = self.walls(p, self.full)[1]
         rest = [j for j in self.full if j not in p]
         m = len(rest)
-        if m == 0:
-            return SupportBox(p, (), trivial=True)
-
         # h_P is sum_k t_k varpi_k^vee plus a central part that every
         # fundamental weight kills, so w = w_rows . t.
         w_rows = [tuple(dot(wt, self.datum.fundamental_coweights[k]) for k in rest)
@@ -219,7 +205,7 @@ class TruncationContext:
         consts = [dot(wt, x) for wt in weights]
         planes = ([(basis_vec(m, pos), 0) for pos in range(m)]
                   + list(zip(w_rows, consts, strict=True)))
-        vertices = []
+        vertices = {}
         for chosen in combinations(planes, m):
             try:
                 t = solve([row for row, _ in chosen], [c for _, c in chosen])
@@ -227,10 +213,6 @@ class TruncationContext:
                 continue
             w = matvec(w_rows, t)
             if all(t[k] * (w[k] - consts[k]) <= 0 for k in range(m)):
-                vertices.append(t)
-        # t = 0 is always such a vertex, so the box is never empty
-        entries = tuple(
-            (j, roots[pos],
-             min(t[pos] for t in vertices), max(t[pos] for t in vertices))
-            for pos, j in enumerate(rest))
-        return SupportBox(p, entries)
+                vertices[tuple(t)] = None
+        # t = 0 is always such a vertex, so there is at least one
+        return tuple(vertices)

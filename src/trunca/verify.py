@@ -145,7 +145,8 @@ def suite_inversion(samples: int = 1000, seed: int = 0,
 def suite_gamma(samples: int = 1000, seed: int = 0,
                 types=INVERSION_TYPES) -> list[ReportRecord]:
     """Vanishing of gamma at X = 0 for proper parabolics, constancy at the
-    full group, and doubling-invariance of the lattice-sum support boxes."""
+    full group, and lattice sums over the support bounds read from gamma's
+    arrangement vertices that strictly wider bounds leave unchanged."""
     records = []
     for tname in types:
         datum = build_root_datum(tname)
@@ -184,7 +185,7 @@ def suite_gamma(samples: int = 1000, seed: int = 0,
                 total += 1
                 try:
                     brute_sum(spec, spec.x_point(coords), certify=True)
-                except Exception as exc:  # ConsistencyError carries the box
+                except Exception as exc:  # ConsistencyError carries both sums
                     failures.append(f"P={subset} X={coords}: {exc}")
         records.append(_tally("gamma", f"gamma/support-doubling/{tname}",
                               total, failures))

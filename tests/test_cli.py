@@ -6,6 +6,7 @@ script and the exit status of a usage error.
 """
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -191,6 +192,8 @@ def test_config_file(tmp_path, capsys):
     ("filtercheck", "--q", "5", "--theta-lambda", "1/0", "--theta-mu", "1"),
     ("filtercheck", "--group", "SL1", "--q", "5",
      "--theta-lambda", "1", "--theta-mu", "2"),
+    ("qpsum", "--type", "A1", "--batch", os.devnull, "--q", "2"),  # no rows
+    ("gamma", "--type", "A1", "--P", "", "--batch", os.devnull),
 ])
 def test_invalid_configuration_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

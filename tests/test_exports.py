@@ -62,11 +62,9 @@ def test_every_import_is_used(path):
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-# SupportBox.contains is how the tests check that the box covers gamma's
-# support; nothing in the program needs to ask a box about a point.
 # argparse itself calls _Parser.error on a usage error, which the CLI tests
 # reach; no code calls it by name.
-UNREACHED_ON_PURPOSE = {"SupportBox.contains", "_Parser.error"}
+UNREACHED_ON_PURPOSE = {"_Parser.error"}
 
 
 def _definitions(tree):

@@ -19,7 +19,7 @@ from trunca.charfield import factor_prime_power
 from trunca.cli import main
 from trunca.cyclotomic import CyclotomicNumber
 from trunca.errors import ConsistencyError, LatticeError
-from trunca.linalg import enumerate_box, mat_inverse, matvec
+from trunca.linalg import enumerate_box, mat_inverse, matvec, vadd, vscale
 from trunca.parabolic import enumerate_standard
 from trunca.quasipoly import (
     LatticeSpec,
@@ -31,6 +31,7 @@ from trunca.quasipoly import (
     standard_lattice_spec,
 )
 from trunca.rootdata import build_root_datum
+from trunca.truncation import TruncationContext
 from trunca.verify import FIT_COMBOS
 
 
@@ -94,6 +95,34 @@ def test_routes_agree(kind, subset):
     for coords in [(3, 2), (0, 0), (-2, 5), (4, -3)]:
         x = spec.x_point(coords)
         assert product_eval(spec, x) == brute_sum(spec, x, certify=True)
+
+
+@pytest.mark.parametrize("kind,expect", [("A4", 1), ("B4", 1), ("C4", 0), ("D4", 1)])
+def test_rank_four_borel_sums(kind, expect):
+    spec = standard_lattice_spec(build_root_datum(kind), ())
+    x = spec.x_point((1, 1, 1, 1))
+    assert brute_sum(spec, x) == product_eval(spec, x) == expect
+
+
+def test_scan_does_not_grow_with_the_shear(monkeypatch):
+    # G2 Borel at X = (3, -3) on two bases of one lattice: the bounds are
+    # read from the vertices' images, not from a box around them (which
+    # scanned 209 and 494 points)
+    datum = build_root_datum("G2")
+    b0, b1 = standard_lattice_spec(datum, ()).basis
+    calls = []
+    gamma = TruncationContext.gamma
+
+    def counted(self, *args):
+        calls.append(args)
+        return gamma(self, *args)
+
+    monkeypatch.setattr(TruncationContext, "gamma", counted)
+    for basis, scanned in (((b0, b1), 20), ((b0, vadd(vscale(2, b0), b1)), 35)):
+        spec = LatticeSpec(datum, (), basis)
+        calls.clear()
+        assert brute_sum(spec, spec.x_point((3, -3))) == -1
+        assert len(calls) == scanned
 
 
 @pytest.mark.parametrize("kind,subset,coords,expect", [

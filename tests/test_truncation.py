@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trunca.errors import WallError
-from trunca.linalg import dot, matvec, vadd, vecmat, vscale
+from trunca.linalg import dot, enumerate_box, matvec, vadd, vecmat, vscale
 from trunca.parabolic import enumerate_standard, projector_to_aP, relative_weight
 from trunca.polyhedra import canonical_refinement, random_polyhedron, semistability_indicator
-from trunca.quasipoly import brute_sum, standard_lattice_spec
+from trunca.quasipoly import LatticeSpec, _coordinate_ranges, brute_sum, standard_lattice_spec
 from trunca.rootdata import build_root_datum, fold
 from trunca.truncation import TruncationContext
 from trunca.verify import INVERSION_TYPES
@@ -190,37 +190,96 @@ def test_gamma_vanishes_at_zero_x():
 # -- support bracketing --------------------------------------------------------
 
 
+def _lattice_point(spec, n):
+    h = spec.base_point
+    for c, b in zip(n, spec.basis, strict=True):
+        h = vadd(h, vscale(c, b))
+    return h
+
+
+def _sheared_spec(datum, subset, shear, base_point=None):
+    """The standard lattice of (datum, subset) through ``base_point``, its
+    last basis vector replaced by itself plus ``shear`` times the first."""
+    basis = list(standard_lattice_spec(datum, subset).basis)
+    if len(basis) > 1:
+        basis[-1] = vadd(basis[-1], vscale(shear, basis[0]))
+    return LatticeSpec(datum, subset, basis, base_point)
+
+
+# (kind, subset, shear, base point, X in x_point coordinates, scan radius)
+_SUPPORT_CASES = [
+    ("A1", (), 0, None, (2,), 12),
+    ("A1", (), 0, (Fraction(-7, 3),), (-5,), 12),
+    ("A2", (), 0, None, (3, 2), 12),
+    ("A2", (), 2, (Fraction(7, 3), Fraction(-5, 2)), (4, 4), 12),
+    ("A2", (), -1, (Fraction(1, 2), Fraction(1, 3)), (-4, -4), 12),
+    ("B2", (), 1, None, (-4, -4), 10),
+    ("G2", (), 0, None, (-4, -4), 24),
+    ("G2", (), 2, (Fraction(5, 2), Fraction(-4, 3)), (4, 4), 28),
+    ("G2", (0,), 0, (0, Fraction(9, 4)), (1, 2), 12),
+    ("A3", (), 1, (Fraction(3, 2), 0, Fraction(-1, 3)), (2, 2, 2), 5),
+]
+
+
 def test_support_box_contains_every_support_point():
-    ctx = _context("A2")
-    x = (Fraction(3), Fraction(2))
-    box = ctx.gamma_support_box((), x)
-    assert not box.trivial
-    grid = [Fraction(t, 2) for t in range(-10, 16)]
-    seen_nonzero = 0
-    for h in itertools.product(grid, repeat=2):
-        if ctx.gamma((), h, x) != 0:
-            seen_nonzero += 1
-            assert box.contains(h)
-    assert seen_nonzero > 0
+    # A wide scan finds every lattice point where gamma is nonzero, none on
+    # the scan's rim; each lies inside the bounds read from the vertices.
+    for kind, subset, shear, base_point, coords, radius in _SUPPORT_CASES:
+        spec = _sheared_spec(build_root_datum(kind), subset, shear, base_point)
+        x = spec.x_point(coords)
+        ctx = spec.datum.truncation
+        lo, hi = _coordinate_ranges(spec, ctx.gamma_support_box(subset, x), 0)
+        support = [n for n in enumerate_box((-radius,) * spec.rank, (radius,) * spec.rank)
+                   if ctx.gamma(subset, _lattice_point(spec, n), x)]
+        assert support, kind
+        for n in support:
+            assert max(map(abs, n)) < radius, (kind, n)
+            assert all(a <= c <= b for a, c, b in zip(lo, n, hi, strict=True)), (kind, n)
 
 
 def test_support_box_negative_direction():
     ctx = _context("A1")
-    box = ctx.gamma_support_box((), (Fraction(-5),))
-    ((_, cov, lo, hi),) = box.entries
-    assert lo <= Fraction(-5) and hi >= Fraction(0)
-    for t in range(-14, 6):
-        h = (Fraction(t, 2),)
-        if ctx.gamma((), h, (Fraction(-5),)) != 0:
-            assert lo <= dot(cov, h) <= hi
+    x = (Fraction(-5),)
+    assert sorted(ctx.gamma_support_box((), x)) == [(Fraction(-5),), (Fraction(0),)]
+    spec = standard_lattice_spec(ctx.datum, ())  # the coroot lattice, t = 2n
+    # n runs over [-5/2, 0]; certification widens that by 7/2 on each side
+    assert [_coordinate_ranges(spec, ctx.gamma_support_box((), x), margin)
+            for margin in (0, 1)] == [((-2,), (0,)), ((-6,), (3,))]
+    assert [n for n in range(-9, 9) if ctx.gamma((), (Fraction(2 * n),), x)] == [-2, -1, 0]
+
+
+# A1 on the coroot lattice through -3/4 at X = 1: the vertices t = 0, 1 have
+# the images 3/8 and 7/8, so the unwidened range holds no integer.
+_EMPTY_RANGE_CASE = ("A1", (), 0, (Fraction(-3, 4),), (1,), None)
 
 
 def test_support_box_degenerate_flags():
     ctx = _context("A2")
     zero = (Fraction(0), Fraction(0))
-    assert ctx.gamma_support_box((0, 1), zero).trivial
-    # trivial boxes contain everything
-    assert ctx.gamma_support_box((0, 1), zero).contains((Fraction(99), Fraction(1)))
+    # the full group's one vertex is the empty point; at X = 0 the
+    # arrangement has the origin alone, and gamma vanishes
+    assert ctx.gamma_support_box((0, 1), zero) == ((),)
+    assert ctx.gamma_support_box((), zero) == ((Fraction(0), Fraction(0)),)
+    spec = standard_lattice_spec(ctx.datum, ())
+    assert _coordinate_ranges(spec, ctx.gamma_support_box((), zero), 0) == ((0, 0), (0, 0))
+    assert brute_sum(spec, zero, certify=True) == 0
+    # a range that holds no integer sums nothing, and still widens
+    kind, subset, shear, base_point, coords, _ = _EMPTY_RANGE_CASE
+    spec = _sheared_spec(build_root_datum(kind), subset, shear, base_point)
+    vertices = spec.datum.truncation.gamma_support_box(subset, spec.x_point(coords))
+    assert [_coordinate_ranges(spec, vertices, margin)
+            for margin in (0, 1)] == [((1,), (0,)), ((-1,), (2,))]
+    assert brute_sum(spec, spec.x_point(coords), certify=True) == 0
+
+
+def test_certify_bounds_strictly_contain_the_support_bounds():
+    for kind, subset, shear, base_point, coords, _ in [*_SUPPORT_CASES, _EMPTY_RANGE_CASE]:
+        spec = _sheared_spec(build_root_datum(kind), subset, shear, base_point)
+        vertices = spec.datum.truncation.gamma_support_box(subset, spec.x_point(coords))
+        (lo, hi), (wide_lo, wide_hi) = (_coordinate_ranges(spec, vertices, margin)
+                                        for margin in (0, 1))
+        assert all(w < a for w, a in zip(wide_lo, lo, strict=True)), kind
+        assert all(w > b for w, b in zip(wide_hi, hi, strict=True)), kind
 
 
 # -- properties on a small-denominator grid, walls included -------------------
@@ -235,7 +294,7 @@ def _gamma_inputs(draw):
     grid = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2)))
     h = tuple(draw(grid) for _ in range(ctx.datum.dim))
     x = tuple(draw(grid) for _ in range(ctx.datum.dim))
-    return ctx, subset, h, x
+    return ctx, subset, h, x, draw(st.integers(-2, 2)), draw(st.integers(-9, 9))
 
 
 def _product_form(ctx, subset, h, x):
@@ -257,11 +316,18 @@ def _product_form(ctx, subset, h, x):
 @settings(max_examples=600)
 @given(_gamma_inputs())
 def test_gamma_is_the_product_form_and_lies_in_its_box(inputs):
-    ctx, subset, h, x = inputs
+    # a support point h is the point n = (k, 0, ...) of a sheared lattice
+    # through h_P - k b_0, so n lies inside the bounds read from the vertices
+    ctx, subset, h, x, shear, k = inputs
     value = ctx.gamma(subset, h, x)
     assert value == _product_form(ctx, subset, h, x)
-    if value != 0:
-        assert ctx.gamma_support_box(subset, x).contains(h)
+    if value != 0 and len(subset) < ctx.datum.rank_ss:
+        b0 = standard_lattice_spec(ctx.datum, subset).basis[0]
+        base = vadd(matvec(ctx.projector(subset), h), vscale(-k, b0))
+        spec = _sheared_spec(ctx.datum, subset, shear, base)
+        lo, hi = _coordinate_ranges(spec, ctx.gamma_support_box(subset, x), 0)
+        n = (k,) + (0,) * (spec.rank - 1)
+        assert all(a <= c <= b for a, c, b in zip(lo, n, hi, strict=True))
 
 
 # -- Langlands inversion next to its walls ------------------------------------
