@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -382,13 +383,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser():
+    """The parser and its subparsers by name, built on the first call, not
+    at import, and shared by every later one: nothing may change them."""
     parser = _Parser(
         prog="trunca",
         description="Exact truncation combinatorics: root systems, "
                     "refinements, lattice sums, torus character sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
-    by_name = {}
 
     def add(name, help_text, **kwargs):
         p = sub.add_parser(name, help=help_text, **kwargs)
@@ -396,7 +399,6 @@ def _build_parser():
         p.add_argument("--format", dest="out_format", choices=("json", "csv"),
                        default="json", help="output format")
         p.add_argument("--out", dest="out_path", help="write output to a file")
-        by_name[name] = p
         return p
 
     p = add("roots", "positive roots of a Cartan type")
@@ -453,7 +455,7 @@ def _build_parser():
     p.add_argument("--samples", type=int,
                    help="override per-suite sample counts (smoke runs)")
 
-    return parser, by_name
+    return parser, sub.choices
 
 
 COMMANDS = {
@@ -491,8 +493,8 @@ def _config_value(action, value):
 
 
 def _load_config(parser_for_cmd, argv, ns):
-    """Apply --config file values as defaults and re-parse so explicit
-    flags keep priority."""
+    """Re-parse with the --config file values already in the namespace (the
+    shared parser keeps its own defaults), so explicit flags keep priority."""
     with open(ns.config, encoding="utf-8") as fh:
         values = json.load(fh)
     if not isinstance(values, dict):
@@ -501,9 +503,8 @@ def _load_config(parser_for_cmd, argv, ns):
     unknown = set(values) - set(actions)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    parser_for_cmd.set_defaults(**{key: _config_value(actions[key], value)
-                                   for key, value in values.items()})
-    merged = parser_for_cmd.parse_args(argv[1:])
+    merged = parser_for_cmd.parse_args(argv[1:], argparse.Namespace(
+        **{key: _config_value(actions[key], value) for key, value in values.items()}))
     merged.command = ns.command
     return merged
 

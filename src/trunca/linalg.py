@@ -1,9 +1,12 @@
 """Small exact linear-algebra toolkit over Q and Z.
 
-Everything in this package is exact: vectors are tuples of ``Fraction``
-(plain ``int`` entries are accepted anywhere and coerced), matrices are
-tuples of row tuples acting on column vectors, and there is no floating
-point anywhere.  The sizes involved are tiny (ambient dimension <= 8), so
+Everything in this package is exact: vectors are tuples of ``int`` or
+``Fraction`` entries, matrices are tuples of row tuples acting on column
+vectors, and there is no floating point anywhere.  ``dot``, and the matrix
+products built on it, keep their entries' type, so integer vectors pair to
+an ``int`` without building a ``Fraction``, and refuse a float result;
+``vec``, ``vscale`` and the eliminations coerce through ``frac``, which
+rejects floats.  The sizes involved are tiny (ambient dimension <= 8), so
 the implementations are straightforward textbook ones; clarity wins over
 asymptotics.
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -39,22 +43,27 @@ def vadd(u, v) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vsub(u, v) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vscale(c, u) -> Vec:
     c = frac(c)
     return tuple(c * a for a in u)
 
 
-def dot(u, v) -> Fraction:
-    """Pairing of a covector with a vector (or plain dot product).
+def dot(u, v):
+    """Pairing of a covector with a vector (or plain dot product), in the
+    entries' own arithmetic: integer vectors give an ``int``.  A float entry
+    makes the sum a float, which is rejected.
 
     >>> dot((1, 2), (3, Fraction(1, 2)))
     Fraction(4, 1)
+    >>> dot((1, 2), (3, -1))
+    1
     """
-    return sum((frac(a) * frac(b) for a, b in zip(u, v, strict=True)), Fraction(0))
+    if len(u) != len(v):
+        raise ValueError(f"cannot pair vectors of lengths {len(u)} and {len(v)}")
+    total = sum(map(mul, u, v))
+    if type(total) is float:
+        raise TypeError("floating point is banned here; use Fraction")
+    return total
 
 
 def zero_vec(n) -> Vec:
@@ -72,24 +81,11 @@ def matvec(m, v) -> Vec:
 
 def vecmat(row, m) -> Vec:
     """Row vector (covector) times matrix: the pullback of ``row`` along m."""
-    n = len(m[0])
-    return tuple(
-        sum((frac(row[i]) * frac(m[i][j]) for i in range(len(m))), Fraction(0))
-        for j in range(n)
-    )
+    return tuple(dot(row, col) for col in zip(*m))
 
 
 def matmul(a, b) -> Mat:
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0])
-    return tuple(
-        tuple(
-            sum((frac(a[i][k]) * frac(b[k][j]) for k in range(inner)), Fraction(0))
-            for j in range(cols)
-        )
-        for i in range(rows)
-    )
+    return tuple(vecmat(row, b) for row in a)
 
 
 def identity_matrix(n) -> Mat:
@@ -255,40 +251,23 @@ def integer_smith(m):
     return d, tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
-def gram_det(m) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    rows = [[frac(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
-
-
 def is_positive_definite(m) -> bool:
-    """Sylvester's criterion on a symmetric rational matrix.
+    """Sylvester's criterion on a symmetric rational matrix: every leading
+    minor is positive, that is every pivot of elimination without row swaps
+    (the k-th pivot is the k-th leading minor over the one before it).
 
     >>> is_positive_definite(((2, -1), (-1, 2)))
     True
     >>> is_positive_definite(((2, -2), (-2, 2)))
     False
     """
-    n = len(m)
-    for k in range(1, n + 1):
-        minor = tuple(tuple(m[i][j] for j in range(k)) for i in range(k))
-        if gram_det(minor) <= 0:
+    rows = [[frac(x) for x in row] for row in m]
+    for c, pivot_row in enumerate(rows):
+        if pivot_row[c] <= 0:
             return False
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / pivot_row[c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], pivot_row)]
     return True
 
 

@@ -8,6 +8,11 @@ the facets of maximal degree there is a unique largest one — the canonical
 refinement.  An alternating sum over all facets recovers the indicator of
 the semistable (refinement = full group) case.
 
+A polyhedron keeps integer vertex numerators over one denominator, and each
+check reads the sign of an integer pairing (the edge test cross-multiplies;
+walls are ``datum.truncation.integer_walls`` rows).  A ``Fraction`` is made
+only where a value leaves the layer: ``degree``, ``vertices``, ``to_mapping``.
+
 Every polyhedron over a datum reads the datum's tables: its Weyl group's
 coset tables (``WeylGroup.min_reps``) and its nested-pair tables
 (``datum.truncation``: the root sums behind the degrees and the relative
@@ -17,13 +22,14 @@ its transported vertices ``s(X_s)`` once.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .errors import ConsistencyError
-from .linalg import dot, frac, vadd, vsub, zero_vec
+from .linalg import dot, frac
 from .parabolic import (
     SemiStandardParabolic,
     enumerate_semistandard,
@@ -33,36 +39,53 @@ from .parabolic import (
 from .rootdata import Folding, RootDatum, WeylElement
 
 
-class ComplementaryPolyhedron:
-    """A candidate vertex family, aligned with ``datum.weyl.elements``."""
+def _scaled(rows, den=1):
+    """``(numerators, d)``: the rows, read over ``den``, as integer rows over
+    their least common denominator d.  Entries are ints or anything ``frac``
+    reads, so a float raises ``TypeError``."""
+    if type(den) is not int or den < 1:
+        raise ValueError(f"a denominator must be a positive int, got {den!r}")
+    rows = [[x if type(x) is int else frac(x) for x in row] for row in rows]
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                 for row in rows), d * den
 
-    def __init__(self, datum: RootDatum, vertices):
-        vertices = tuple(tuple(frac(x) for x in v) for v in vertices)
-        if len(vertices) != datum.weyl.order:
+
+class ComplementaryPolyhedron:
+    """A candidate vertex family, aligned with ``datum.weyl.elements``.  The
+    vertices are read over the argument ``den`` and kept as integer rows,
+    ``numerators``, over one common denominator, the attribute ``den``."""
+
+    def __init__(self, datum: RootDatum, vertices, den=1):
+        self.numerators, self.den = _scaled(vertices, den)
+        if len(self.numerators) != datum.weyl.order:
             raise ValueError(f"need one vertex per Weyl element "
-                             f"({datum.weyl.order}), got {len(vertices)}")
-        for v in vertices:
-            if len(v) != datum.dim:
-                raise ValueError("vertex dimension mismatch")
+                             f"({datum.weyl.order}), got {len(self.numerators)}")
+        if any(len(v) != datum.dim for v in self.numerators):
+            raise ValueError("vertex dimension mismatch")
         self.datum = datum
-        self.vertices = vertices
         self._transported = None
 
+    @property
+    def vertices(self):
+        """The vertices as ``Fraction`` tuples, for output."""
+        return tuple(tuple(Fraction(x, self.den) for x in v) for v in self.numerators)
+
     def to_mapping(self):
-        return {w.label: list(self.vertices[w.index])
-                for w in self.datum.weyl.elements}
+        return {w.label: list(v) for w, v in zip(self.datum.weyl.elements, self.vertices)}
 
     def transported(self):
-        """s(X_s) for every chamber s, the quantity every facet reads."""
+        """The numerators of s(X_s) over ``den`` for every chamber s, the
+        quantity every facet reads."""
         if self._transported is None:
             weyl = self.datum.weyl
             self._transported = tuple(
-                weyl.act(w, self.vertices[w.index]) for w in weyl.elements)
+                weyl.act(w, self.numerators[w.index]) for w in weyl.elements)
         return self._transported
 
     def __repr__(self):
         return (f"ComplementaryPolyhedron({self.datum.label!r}, "
-                f"{len(self.vertices)} vertices)")
+                f"{len(self.numerators)} vertices)")
 
 
 @dataclass(frozen=True)
@@ -83,7 +106,9 @@ def validate(cp: ComplementaryPolyhedron) -> ValidationResult:
 
     Each unordered pair {u, s_i u} is examined once, from the side u where
     gamma = u^{-1}(alpha_i) is positive; the difference of vertices must be
-    a non-negative rational multiple of gamma's coroot.
+    a non-negative rational multiple of gamma's coroot g.  With k the first
+    nonzero entry of g, that is diff[j] * g[k] == diff[k] * g[j] for every j
+    and diff[k] * g[k] >= 0, all in integers.
 
     >>> from trunca.rootdata import build_root_datum
     >>> d = build_root_datum("A1")
@@ -96,61 +121,63 @@ def validate(cp: ComplementaryPolyhedron) -> ValidationResult:
     datum = cp.datum
     weyl = datum.weyl
     n_pos = datum.n_positive
+    nums = cp.numerators
     for u in weyl.elements:
         uinv = weyl.inv(u)
         for i in range(datum.rank_ss):
             if uinv.root_perm[datum.simple_root_positions[i]] >= n_pos:
                 continue  # visit the edge from its low-length side only
             v = weyl.mult(weyl.simple[i], u)
-            gamma_vee = weyl.act(uinv, datum.simple_coroots[i])
-            diff = vsub(cp.vertices[v.index], cp.vertices[u.index])
-            k = next(a for a, x in enumerate(gamma_vee) if x)
-            b = diff[k] / gamma_vee[k]
-            if any(dx != b * g for dx, g in zip(diff, gamma_vee)):
+            g = weyl.act(uinv, datum.simple_coroots[i])
+            diff = [a - b for a, b in zip(nums[v.index], nums[u.index])]
+            k = next(a for a, x in enumerate(g) if x)
+            if any(d * g[k] != diff[k] * x for d, x in zip(diff, g)):
                 return ValidationResult(False, u, i,
                                         "edge difference is not a multiple "
                                         "of the separating coroot")
-            if b < 0:
+            if diff[k] * g[k] < 0:
                 return ValidationResult(False, u, i,
                                         "edge multiple is negative")
     return ValidationResult(True)
 
 
-def generate(datum: RootDatum, points, weights, shift=None) -> ComplementaryPolyhedron:
+def generate(datum: RootDatum, points, weights, shift=None,
+             den=1) -> ComplementaryPolyhedron:
     """Build a polyhedron from antidominant points: X_s = sum c_k s^{-1}(Y_k) + C.
 
     Each Y_k must satisfy <alpha_i, Y_k> <= 0 for all simple roots and each
     weight c_k must be >= 0; the edge condition then holds automatically
     (with b = -sum c_k <alpha_i, Y_k>), and is re-checked before returning.
+    Points, weights and the shift are read over ``den`` and scaled to
+    integers over one denominator d, so the vertices are integers over d^2.
 
     >>> from trunca.rootdata import build_root_datum
     >>> d = build_root_datum("A1")
     >>> generate(d, [(-2,)], [1]).vertices
     ((Fraction(-2, 1),), (Fraction(2, 1),))
     """
-    points = [tuple(frac(x) for x in y) for y in points]
-    weights = [frac(c) for c in weights]
+    if shift is None:
+        shift = (0,) * datum.dim
+    (shift, weights, *points), scale = _scaled([shift, weights, *points], den)
     if len(points) != len(weights):
         raise ValueError("need one weight per point")
     for y in points:
-        for i in range(datum.rank_ss):
-            if dot(datum.simple_roots[i], y) > 0:
-                raise ValueError(f"point {y} is not antidominant")
-    for c in weights:
-        if c < 0:
-            raise ValueError("weights must be non-negative")
-    if shift is None:
-        shift = zero_vec(datum.dim)
+        if any(dot(alpha, y) > 0 for alpha in datum.simple_roots):
+            raise ValueError(f"point {tuple(Fraction(a, scale) for a in y)} "
+                             f"is not antidominant")
+    if any(c < 0 for c in weights):
+        raise ValueError("weights must be non-negative")
     weyl = datum.weyl
+    base = tuple(scale * a for a in shift)
     vertices = []
     for w in weyl.elements:
-        x = tuple(frac(x) for x in shift)
+        x = base
         winv = weyl.inv(w)
         for y, c in zip(points, weights):
             if c:
-                x = vadd(x, tuple(c * t for t in weyl.act(winv, y)))
+                x = tuple(a + c * t for a, t in zip(x, weyl.act(winv, y), strict=True))
         vertices.append(x)
-    cp = ComplementaryPolyhedron(datum, vertices)
+    cp = ComplementaryPolyhedron(datum, vertices, scale * scale)
     res = validate(cp)
     if not res:
         raise ConsistencyError(f"generated family failed validation: {res.reason}")
@@ -162,27 +189,23 @@ def random_polyhedron(datum: RootDatum, seed,
     """A seeded random polyhedron from the antidominant-family generator.
 
     Each draw takes zero to three antidominant points with their weights
-    and a shift, all off the small-denominator lattice (random sevenths /
-    elevenths / thirteenths offsets); by default draws are rejection-sampled
-    until no facet functional vanishes on any transported vertex.
+    and a shift, all off the small-denominator lattice: integer numerators
+    over one denominator of 7, 11 or 13, none of them divisible by it.  By
+    default draws are rejection-sampled until no facet functional vanishes
+    on any transported vertex.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     n = datum.rank_ss
+    central = [0] * datum.rank_central
     for _ in range(200):
         den = rng.choice((7, 11, 13))
         k = rng.randint(0, 3)
-        points = []
-        for _ in range(k):
-            y = [-(rng.randint(0, 4) + Fraction(rng.randint(1, den - 1), den))
-                 for _ in range(n)]
-            y += [Fraction(0)] * datum.rank_central
-            points.append(tuple(y))
-        weights = [rng.randint(0, 3) + Fraction(rng.randint(1, den - 1), den)
+        points = [[-(rng.randint(0, 4) * den + rng.randint(1, den - 1))
+                   for _ in range(n)] + central for _ in range(k)]
+        weights = [rng.randint(0, 3) * den + rng.randint(1, den - 1)
                    for _ in range(k)]
-        c = [rng.randint(-4, 4) + Fraction(rng.randint(1, den - 1), den)
-             for _ in range(n)]
-        c += [Fraction(0)] * datum.rank_central
-        cp = generate(datum, points, weights, tuple(c))
+        c = [rng.randint(-4, 4) * den + rng.randint(1, den - 1) for _ in range(n)]
+        cp = generate(datum, points, weights, c + central, den)
         if not require_wall_free or vertex_walls_clear(cp):
             return cp
     raise ConsistencyError("could not sample a wall-free polyhedron")
@@ -198,13 +221,9 @@ def vertex_walls_clear(cp: ComplementaryPolyhedron) -> bool:
     ctx = cp.datum.truncation
     covs = []
     for subset in enumerate_standard(cp.datum):
-        covs.extend(ctx.walls((), subset)[1])
-        covs.extend(ctx.walls(subset, ctx.full)[0])
-    for t in cp.transported():
-        for cov in covs:
-            if dot(cov, t) == 0:
-                return False
-    return True
+        covs.extend(ctx.integer_walls((), subset)[1])
+        covs.extend(ctx.integer_walls(subset, ctx.full)[0])
+    return all(dot(cov, t) for t in cp.transported() for cov in covs)
 
 
 # -- facet degrees and refinement ---------------------------------------------
@@ -229,7 +248,8 @@ def degree(cp: ComplementaryPolyhedron, facet: SemiStandardParabolic,
     if not set(facet.subset) <= set(q_subset):
         raise ValueError(f"facet subset {facet.subset} is not inside "
                          f"{tuple(q_subset)}")
-    return dot(ctx.root_sum(facet.subset, q_subset), cp.transported()[facet.rep.index])
+    return Fraction(dot(ctx.root_sum(facet.subset, q_subset),
+                        cp.transported()[facet.rep.index]), cp.den)
 
 
 def is_semistable(cp: ComplementaryPolyhedron, facet: SemiStandardParabolic,
@@ -252,16 +272,10 @@ def is_semistable(cp: ComplementaryPolyhedron, facet: SemiStandardParabolic,
     coset = [v for v in weyl.elements if minrep_p[v.index] == facet.rep.index]
     for size in range(len(p_subset)):
         for r_subset in combinations(p_subset, size):
-            weights = ctx.walls(r_subset, p_subset)[1]
+            weights = ctx.integer_walls(r_subset, p_subset)[1]
             minrep_r = weyl.min_reps(r_subset)
-            seen = set()
-            for v in coset:
-                delta_idx = minrep_r[v.index]
-                if delta_idx in seen:
-                    continue
-                seen.add(delta_idx)
-                point = trans[delta_idx]
-                if all(dot(wt, point) > 0 for wt in weights):
+            for delta_idx in {minrep_r[v.index] for v in coset}:
+                if all(dot(wt, trans[delta_idx]) > 0 for wt in weights):
                     return False
     return True
 
@@ -289,15 +303,11 @@ def canonical_refinement(cp: ComplementaryPolyhedron,
     q_subset = ctx.full if q_subset is None else tuple(sorted(q_subset))
     trans = cp.transported()
 
-    best = None
-    best_set = []
-    for cand in enumerate_semistandard(datum, q_subset):
-        val = dot(ctx.root_sum(cand.subset, q_subset), trans[cand.rep.index])
-        if best is None or val > best:
-            best = val
-            best_set = [cand]
-        elif val == best:
-            best_set.append(cand)
+    # degrees compared as integers: every one is over the same cp.den
+    degrees = [(cand, dot(ctx.root_sum(cand.subset, q_subset), trans[cand.rep.index]))
+               for cand in enumerate_semistandard(datum, q_subset)]
+    best = max(val for _, val in degrees)
+    best_set = [cand for cand, val in degrees if val == best]
 
     largest = [cand for cand in best_set
                if all(semistandard_contains(datum, cand, o) for o in best_set)]
@@ -311,7 +321,8 @@ def canonical_refinement(cp: ComplementaryPolyhedron,
         raise ConsistencyError(f"refinement {facet} is not semistable")
     point = trans[facet.rep.index]
     between = [j for j in q_subset if j not in facet.subset]
-    for j, cov in zip(between, ctx.walls(facet.subset, q_subset)[0], strict=True):
+    for j, cov in zip(between, ctx.integer_walls(facet.subset, q_subset)[0],
+                      strict=True):
         if dot(cov, point) <= 0:
             raise ConsistencyError(
                 f"refinement {facet} fails strict positivity at "
@@ -331,7 +342,7 @@ def semistability_indicator(cp: ComplementaryPolyhedron) -> int:
     total = 0
     for cand in enumerate_semistandard(datum):
         point = trans[cand.rep.index]
-        if all(dot(wt, point) > 0 for wt in ctx.walls(cand.subset, full)[1]):
+        if all(dot(wt, point) > 0 for wt in ctx.integer_walls(cand.subset, full)[1]):
             total += (-1) ** (len(full) - len(cand.subset))
     ref = canonical_refinement(cp, full)
     expected = 1 if (ref.subset == full and ref.rep.length == 0) else 0
@@ -352,11 +363,9 @@ def project_polyhedron(cp: ComplementaryPolyhedron,
     if cp.datum is not folding.big:
         raise ValueError("polyhedron is not over the folding's big datum")
     corr = folding.weyl_correspondence
-    vertices = []
-    for s in folding.small.weyl.elements:
-        w = corr[s.index]
-        vertices.append(folding.project_vector(cp.vertices[w.index]))
-    out = ComplementaryPolyhedron(folding.small, vertices)
+    vertices = [folding.project_vector(cp.numerators[corr[s.index].index])
+                for s in folding.small.weyl.elements]
+    out = ComplementaryPolyhedron(folding.small, vertices, cp.den)
     res = validate(out)
     if not res:
         raise ConsistencyError(

@@ -4,8 +4,9 @@ alternating sums.
 A root datum has one :class:`TruncationContext`, ``datum.truncation``, and
 it is the one home of the tables of nested pairs P <= Q of standard
 parabolics: ``walls`` gives the relative simple roots and the relative
-fundamental weights of a pair, ``root_sum`` the sum of the reduced positive
-roots of Q outside P, each built once per pair.  Strict positivity against
+fundamental weights of a pair (``integer_walls`` the same rows scaled to
+integers), ``root_sum`` the sum of the reduced positive roots of Q outside
+P, each built once per pair.  Strict positivity against
 the roots or the weights of ``walls`` is the acute cone tau or the obtuse
 cone tau-hat of the pair.
 ``langlands_inversion_check`` evaluates the alternating sum over
@@ -26,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import WallError
-from .linalg import basis_vec, dot, matvec, solve, vecmat
+from .linalg import basis_vec, dot, lcm_den, matvec, scaled_int_vec, solve, vecmat
 from .parabolic import projector_to_aP, relative_weight
 from .rootdata import RootDatum
 
@@ -66,6 +67,7 @@ class TruncationContext:
         self.full = tuple(range(datum.rank_ss))
         self._proj = {}
         self._walls = {}
+        self._integer_walls = {}
         self._root_sum = {}
 
     def projector(self, subset):
@@ -105,6 +107,22 @@ class TruncationContext:
                 weights = tuple(relative_weight(self.datum, q, j) for j in q)
             self._walls[key] = (roots, weights)
         return self._walls[key]
+
+    def integer_walls(self, p_subset, q_subset):
+        """``walls(P, Q)`` with each row scaled by the lcm of its
+        denominators: integer rows with the signs of the ``walls`` rows on
+        every vector, for the checks that read signs only.
+
+        >>> from trunca.rootdata import build_root_datum
+        >>> build_root_datum("A2").truncation.integer_walls((0,), (0, 1))
+        (((1, 2),), ((1, 2),))
+        """
+        key = (_norm_subset(self.datum, p_subset), _norm_subset(self.datum, q_subset))
+        if key not in self._integer_walls:
+            self._integer_walls[key] = tuple(
+                tuple(scaled_int_vec(row, lcm_den(row)) for row in rows)
+                for rows in self.walls(*key))
+        return self._integer_walls[key]
 
     def root_sum(self, p_subset, q_subset):
         """The covector 2 rho_P^Q of the nested pair P <= Q: the sum of the

@@ -27,7 +27,7 @@ from .charfield import (
     lie_char_sum,
     regular_pair,
 )
-from .errors import WallError
+from .errors import ConsistencyError, WallError
 from .parabolic import SemiStandardParabolic, enumerate_standard
 from .polyhedra import (
     canonical_refinement,
@@ -195,63 +195,64 @@ def suite_gamma(samples: int = 1000, seed: int = 0,
 # -- criteria 3 and 4: refinement and the semistability indicator -------------
 
 
-def _corpus(tname: str, seed: int, samples: int):
-    datum = build_root_datum(tname)
-    for i in range(samples):
-        yield random_polyhedron(datum, random.Random(f"corpus:{tname}:{seed}:{i}"))
+def _corpus_records(suite: str, check, types, seed: int, samples: int,
+                    corpora) -> list[ReportRecord]:
+    """One record per type: ``check`` must not raise on any polyhedron of
+    the type's seeded wall-free corpus, drawn lazily.  ``corpora`` is the
+    dict that one :func:`run_suites` call hands to both suites that read
+    the corpus: the first keeps each drawn list in it, and the second takes
+    the list out instead of drawing it again."""
+    records = []
+    for tname in types:
+        key = (tname, seed, samples)
+        if corpora is not None and key in corpora:
+            corpus = corpora.pop(key)
+        else:
+            datum = build_root_datum(tname)
+            corpus = (random_polyhedron(datum, random.Random(f"corpus:{tname}:{seed}:{i}"))
+                      for i in range(samples))
+            if corpora is not None:
+                corpus = corpora[key] = list(corpus)
+        failures = []
+        for i, cp in enumerate(corpus):
+            try:
+                check(cp)
+            except Exception as exc:
+                failures.append(f"instance {i}: {exc}")
+        records.append(_tally(suite, f"{suite}/{tname}", samples, failures))
+    return records
 
 
-def _degree_rep_independent(cp) -> bool:
-    """Every chamber of a facet's coset reads the same degree."""
-    datum = cp.datum
-    weyl = datum.weyl
-    for subset in enumerate_standard(datum):
+def _refinement_check(cp) -> None:
+    """The canonical refinement, which cross-checks both of its clauses, and
+    one degree on every chamber of each facet's coset."""
+    canonical_refinement(cp)
+    weyl = cp.datum.weyl
+    for subset in enumerate_standard(cp.datum):
         by_rep = {}
         for w in weyl.elements:
             val = degree(cp, SemiStandardParabolic(subset, w))
             rep = weyl.min_rep(w, subset).index
             if by_rep.setdefault(rep, val) != val:
-                return False
-    return True
+                raise ConsistencyError("degree depends on the chamber representative")
 
 
 def suite_refinement(samples: int = 1000, seed: int = 0,
-                     types=REFINEMENT_TYPES) -> list[ReportRecord]:
+                     types=REFINEMENT_TYPES, corpora=None) -> list[ReportRecord]:
     """Existence, uniqueness, and the two defining clauses of the canonical
     refinement over a seeded wall-free corpus, plus chamber-representative
     independence of every facet degree on every instance."""
-    records = []
-    for tname in types:
-        failures = []
-        for i, cp in enumerate(_corpus(tname, seed, samples)):
-            try:
-                canonical_refinement(cp)  # cross-checks both clauses
-            except Exception as exc:
-                failures.append(f"instance {i}: {exc}")
-                continue
-            if not _degree_rep_independent(cp):
-                failures.append(f"instance {i}: degree depends on the "
-                                "chamber representative")
-        records.append(_tally("refinement", f"refinement/{tname}",
-                              samples, failures))
-    return records
+    return _corpus_records("refinement", _refinement_check, types, seed, samples,
+                           corpora)
 
 
 def suite_indicator(samples: int = 1000, seed: int = 0,
-                    types=REFINEMENT_TYPES) -> list[ReportRecord]:
+                    types=REFINEMENT_TYPES, corpora=None) -> list[ReportRecord]:
     """The alternating obtuse-cone sum equals [refinement = G] on the same
-    corpus the refinement suite uses."""
-    records = []
-    for tname in types:
-        failures = []
-        for i, cp in enumerate(_corpus(tname, seed, samples)):
-            try:
-                semistability_indicator(cp)  # asserts sum == [refinement = G]
-            except Exception as exc:
-                failures.append(f"instance {i}: {exc}")
-        records.append(_tally("indicator", f"indicator/{tname}",
-                              samples, failures))
-    return records
+    corpus the refinement suite uses (``semistability_indicator`` raises
+    when they disagree)."""
+    return _corpus_records("indicator", semistability_indicator, types, seed, samples,
+                           corpora)
 
 
 # -- criterion 5: foldings ----------------------------------------------------
@@ -465,6 +466,8 @@ def run_suites(names=None, seed: int = 0, samples: int | None = None,
     """
     if names is None or names == ["all"]:
         names = sorted(SUITES)
+    # one corpus per type for both suites that read it, dropped on return
+    corpora = {} if {"refinement", "indicator"} <= set(names) else None
     records = []
     for name in names:
         fn = SUITES[name]
@@ -476,5 +479,7 @@ def run_suites(names=None, seed: int = 0, samples: int | None = None,
         if types is not None and name in ("inversion", "gamma", "refinement",
                                           "indicator"):
             kwargs["types"] = tuple(types)
+        if corpora is not None and name in ("refinement", "indicator"):
+            kwargs["corpora"] = corpora
         records.extend(fn(**kwargs))
     return sorted(records, key=lambda r: r.case)

@@ -5,11 +5,13 @@ code); one subprocess test at the bottom exercises the installed console
 script and the exit status of a usage error.
 """
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +19,8 @@ from hypothesis import strategies as st
 
 from trunca.charfield import factor_prime_power
 from trunca.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +70,15 @@ def test_refine_payload_and_determinism(capsys):
     assert all(1 <= i <= 2 for i in payload["refinement"]["subset"])
     for row in payload["degrees"]:
         Fraction(row["degree"])                 # "num/den" strings re-parse
+
+
+@pytest.mark.parametrize("ctype", ["A2", "B2", "G2", "A3"])
+def test_refine_stdout_is_pinned(capsys, ctype):
+    # the files hold the stdout that `trunca refine` printed when polyhedra
+    # kept Fraction vertices; the integer-scaled route must print the same
+    code, out, _ = run_cli(capsys, "refine", "--type", ctype, "--seed", "7")
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"refine-{ctype}-seed7.json").read_bytes()
 
 
 # -- pointwise commands ------------------------------------------------------------
@@ -165,6 +178,31 @@ def test_config_file(tmp_path, capsys):
     # flags still win over the file on re-parse
     payload = run_json(capsys, "slltrace", "--config", str(cfg), "--q", "3", "--l", "2")
     assert payload["m"] == 4
+    # and the file's values do not outlive the call that read them
+    code, _, err = run_cli(capsys, "slltrace", "--q", "2", "--l", "3")
+    assert code == 2 and "--sweep" in err
+
+
+def test_parser_is_built_on_the_first_call_only(capsys, monkeypatch):
+    run_cli(capsys, "roots", "--type", "A1")
+    added = []
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                        lambda self, *args, **kwargs: added.append(args))
+    assert run_cli(capsys, "weyl", "--type", "A1")[0] == 0
+    assert added == []
+    # importing the module builds nothing
+    probe = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "def counting(self, *args, **kwargs):\n"
+             "    built.append(1)\n"
+             "    init(self, *args, **kwargs)\n"
+             "argparse.ArgumentParser.__init__ = counting\n"
+             "import trunca.cli\n"
+             "print(len(built))\n")
+    fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.strip() == "0"
 
 
 # -- failure modes ----------------------------------------------------------------------

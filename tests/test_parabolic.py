@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from trunca.linalg import dot, matvec, vsub
+from trunca.linalg import dot, matvec
 from trunca.parabolic import (
     SemiStandardParabolic,
     enumerate_semistandard,
@@ -93,7 +93,7 @@ def test_project_aP_is_a_direct_sum_split():
             coroots = [datum.simple_coroots[i] for i in subset]
             for v in datum.fundamental_coweights + (odd,):
                 v_p = matvec(proj, v)
-                assert _rank(coroots + [vsub(v, v_p)]) == len(subset)
+                assert _rank(coroots + [tuple(a - b for a, b in zip(v, v_p))]) == len(subset)
                 for i in subset:
                     assert dot(datum.simple_roots[i], v_p) == 0
 

@@ -9,14 +9,22 @@ group when xi is antidominant).
 
 import gc
 import itertools
+import json
 import random
 import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trunca.errors import ConsistencyError
-from trunca.parabolic import SemiStandardParabolic
+from trunca.linalg import dot
+from trunca.parabolic import (
+    SemiStandardParabolic,
+    enumerate_semistandard,
+    semistandard_contains,
+)
 from trunca.polyhedra import (
     ComplementaryPolyhedron,
     canonical_refinement,
@@ -92,6 +100,116 @@ def test_random_polyhedra_are_valid_and_wall_free():
 def test_constant_zero_family_sits_on_every_wall():
     d = build_root_datum("A2")
     assert not vertex_walls_clear(_constant(d, (Fraction(0), Fraction(0))))
+
+
+def test_floats_are_refused_where_vectors_enter():
+    d = build_root_datum("A2")
+    with pytest.raises(TypeError):
+        ComplementaryPolyhedron(d, [(0, 0)] * 5 + [(0.5, 0)])
+    y = (Fraction(-2), Fraction(-1))
+    with pytest.raises(TypeError):
+        generate(d, [(-2.0, -1)], [1])
+    with pytest.raises(TypeError):
+        generate(d, [y], [1.5])
+    with pytest.raises(TypeError):
+        generate(d, [y], [1], shift=(0.25, 0))
+    for den in (0, -7, 7.0):
+        with pytest.raises(ValueError, match="positive int"):
+            ComplementaryPolyhedron(d, [(0, 0)] * 6, den)
+        with pytest.raises(ValueError, match="positive int"):
+            generate(d, [y], [1], den=den)
+    # the sampler draws integer numerators and hands them to generate
+    cp = random_polyhedron(d, seed="ints")
+    assert type(cp.den) is int
+    assert all(type(x) is int for v in cp.numerators + cp.transported() for x in v)
+
+
+# -- the integer route against a Fraction reference ------------------------------
+
+
+def _reference_validate(cp):
+    """The edge test on Fraction vertices, dividing by the coroot entry."""
+    datum, weyl = cp.datum, cp.datum.weyl
+    verts = cp.vertices
+    for u in weyl.elements:
+        uinv = weyl.inv(u)
+        for i in range(datum.rank_ss):
+            if uinv.root_perm[datum.simple_root_positions[i]] >= datum.n_positive:
+                continue
+            v = weyl.mult(weyl.simple[i], u)
+            g = weyl.act(uinv, datum.simple_coroots[i])
+            diff = [a - b for a, b in zip(verts[v.index], verts[u.index])]
+            k = next(a for a, x in enumerate(g) if x)
+            b = diff[k] / g[k]
+            if any(dx != b * gx for dx, gx in zip(diff, g)):
+                return False, u, i, ("edge difference is not a multiple of "
+                                     "the separating coroot")
+            if b < 0:
+                return False, u, i, "edge multiple is negative"
+    return True, None, None, ""
+
+
+def _reference_semistable(datum, trans, facet):
+    """No properly smaller facet sees positive Fraction weights."""
+    weyl, ctx = datum.weyl, datum.truncation
+    p = facet.subset
+    coset = [v for v in weyl.elements if weyl.min_rep(v, p) == facet.rep]
+    for size in range(len(p)):
+        for r in itertools.combinations(p, size):
+            for v in coset:
+                point = trans[weyl.min_rep(v, r).index]
+                if all(dot(wt, point) > 0 for wt in ctx.walls(r, p)[1]):
+                    return False
+    return True
+
+
+def _plant(cp, vertex, offset):
+    """The polyhedron with ``offset`` added to one vertex."""
+    verts = list(cp.vertices)
+    verts[vertex] = tuple(a + b for a, b in zip(verts[vertex], offset))
+    return ComplementaryPolyhedron(cp.datum, verts)
+
+
+@settings(max_examples=30)
+@given(kind=st.sampled_from(["A2", "B2", "G2", "A3", "D4"]),
+       seed=st.integers(0, 10 ** 6))
+def test_integer_route_equals_fraction_reference(kind, seed):
+    datum = build_root_datum(kind)
+    ctx, weyl = datum.truncation, datum.weyl
+    cp = random_polyhedron(datum, seed=seed)
+    trans = [weyl.act(w, v) for w, v in zip(weyl.elements, cp.vertices)]
+    facets = enumerate_semistandard(datum)
+    degrees = {f: dot(ctx.root_sum(f.subset, ctx.full), trans[f.rep.index])
+               for f in facets}
+    assert {f: degree(cp, f) for f in facets} == degrees
+    top = [f for f in facets if degrees[f] == max(degrees.values())]
+    largest = [f for f in top if all(semistandard_contains(datum, f, o) for o in top)]
+    assert [canonical_refinement(cp)] == largest
+    if datum.rank_ss <= 3:  # D4 has 865 facets: its refinement's alone
+        assert all(is_semistable(cp, f) == _reference_semistable(datum, trans, f)
+                   for f in facets)
+    assert is_semistable(cp, largest[0]) == _reference_semistable(datum, trans, largest[0])
+    full = ctx.full
+    indicator = sum((-1) ** (len(full) - len(f.subset)) for f in facets
+                    if all(dot(wt, trans[f.rep.index]) > 0
+                           for wt in ctx.walls(f.subset, full)[1]))
+    assert semistability_indicator(cp) == indicator
+
+    # planted bad edges: negating every vertex turns each edge multiple b
+    # into -b, negative unless the family is constant, and an offset
+    # parallel to no coroot breaks every edge at one vertex
+    flipped = ComplementaryPolyhedron(datum, [tuple(-x for x in v) for v in cp.vertices])
+    ragged = _plant(cp, seed % weyl.order,
+                    tuple(Fraction(10 ** k, 7) for k in range(datum.dim)))
+    for family in (cp, flipped, ragged):
+        res = validate(family)
+        assert (res.ok, res.element, res.simple_index, res.reason) == \
+            _reference_validate(family)
+    assert not validate(ragged) and "not a multiple" in validate(ragged).reason
+    moving = any(a != b for a, b in zip(cp.vertices, cp.vertices[1:]))
+    assert bool(validate(flipped)) is not moving
+    if moving:
+        assert validate(flipped).reason == "edge multiple is negative"
 
 
 # -- degrees -------------------------------------------------------------------
@@ -256,6 +374,27 @@ def test_indicator_suite_refines_once_per_instance(monkeypatch):
     records = verify.suite_indicator(samples=3, types=("A1", "A2"))
     assert all(r.ok for r in records)
     assert calls == ["A1"] * 3 + ["A2"] * 3
+
+
+def test_one_corpus_per_run_suites_call(monkeypatch, capsys):
+    from trunca import cli, verify
+
+    drawn = []
+
+    def counting(datum, seed, *args, **kwargs):
+        drawn.append(datum.label)
+        return random_polyhedron(datum, seed, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "random_polyhedron", counting)
+    assert cli.main(["verify", "--suite", "all", "--samples", "3"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    # three per refinement type, drawn once for both suites, and three per
+    # folding
+    assert len(drawn) == 3 * (len(verify.REFINEMENT_TYPES) + len(verify.FOLDINGS))
+    alone = [r.as_dict() for name in ("indicator", "refinement")
+             for r in verify.run_suites([name], samples=3)]
+    assert [r for r in records if r["suite"] in ("indicator", "refinement")] == alone
+    assert len(drawn) == 3 * (3 * len(verify.REFINEMENT_TYPES) + len(verify.FOLDINGS))
 
 
 def test_indicator_suite_records_a_disagreement(monkeypatch):

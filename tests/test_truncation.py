@@ -118,6 +118,21 @@ def test_inversion_wall_errors():
         ctx.langlands_inversion_check((), (0, 1), (Fraction(3), Fraction(-3, 2)))
 
 
+def test_floats_are_refused():
+    # dot pairs in its entries' own arithmetic and refuses a float result,
+    # so no float point gets through the context's pairings
+    ctx = _context("A2")
+    half = (Fraction(1, 2), Fraction(1))
+    with pytest.raises(TypeError, match="floating point"):
+        ctx.langlands_inversion_check((), (0, 1), (0.5, 1))
+    with pytest.raises(TypeError, match="floating point"):
+        ctx.gamma((), (0.5, 1), half)
+    with pytest.raises(TypeError, match="floating point"):
+        ctx.gamma((), half, (0.5, 1))
+    with pytest.raises(TypeError, match="floating point"):
+        ctx.gamma_support_box((), (0.5, 1))
+
+
 def test_inversion_containment_required():
     ctx = _context("A2")
     with pytest.raises(ValueError):
@@ -380,7 +395,7 @@ def test_inversion_holds_next_to_every_wall(inputs):
 def test_context_caches_stay_bounded():
     # gamma, brute_sum and the refinement checks of many distinct X, h and
     # polyhedra share the datum's one context, and leave in it at most one
-    # walls and one root_sum entry per nested pair and one projector per
+    # walls, integer_walls and root_sum entry per nested pair and one projector per
     # subset: nothing keyed by X, h or a polyhedron is kept.
     datum = build_root_datum("A2")
     spec = standard_lattice_spec(datum, ())
@@ -405,6 +420,7 @@ def test_context_caches_stay_bounded():
     assert spec.datum.truncation is datum.truncation
     assert not any(isinstance(v, TruncationContext) for v in vars(spec).values())
     assert len(ctx._walls) <= 3 ** n and len(ctx._root_sum) <= 3 ** n
+    assert len(ctx._integer_walls) <= 3 ** n
     assert len(ctx._proj) <= 2 ** n
 
 
