@@ -33,8 +33,6 @@ from .parabolic import (
     SemiStandardParabolic,
     enumerate_semistandard,
     enumerate_standard,
-    projector_to_aP,
-    relative_weight,
 )
 from .polyhedra import (
     ComplementaryPolyhedron,
@@ -88,8 +86,6 @@ __all__ = [
     "SemiStandardParabolic",
     "enumerate_semistandard",
     "enumerate_standard",
-    "projector_to_aP",
-    "relative_weight",
     "TruncationContext",
     "ComplementaryPolyhedron",
     "ValidationResult",

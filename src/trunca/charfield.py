@@ -97,9 +97,11 @@ class FiniteField:
     coefficientwise and needs no table.
 
     >>> k = FiniteField(2, 3)            # modulus x^3 + x^2 + 1
-    >>> k.mul((0, 1, 0), (0, 0, 1))      # x * x^2 = x^3 = x^2 + 1
+    >>> antilog, log, trace = k.tables()
+    >>> x, x2 = k.index((0, 1, 0)), k.index((0, 0, 1))
+    >>> k.coeffs(antilog[(log[x] + log[x2]) % 7])  # x * x^2 = x^3 = x^2 + 1
     (1, 0, 1)
-    >>> k.trace((0, 1, 0))
+    >>> trace[x]
     1
     """
 
@@ -202,17 +204,6 @@ class FiniteField:
 
     def neg(self, a) -> tuple:
         return tuple((-x) % self.p for x in a)
-
-    def mul(self, a, b) -> tuple:
-        antilog, log, _ = self.tables()
-        i, j = self.index(a), self.index(b)
-        if not i or not j:
-            return self.zero
-        return self.coeffs(antilog[(log[i] + log[j]) % (self.order - 1)])
-
-    def trace(self, a) -> int:
-        """Absolute trace down to the prime field, as an integer mod p."""
-        return self.tables()[2][self.index(a)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Everything in this package is exact: vectors are tuples of ``int`` or
 ``Fraction`` entries, matrices are tuples of row tuples acting on column
-vectors, and there is no floating point anywhere.  ``dot``, and the matrix
-products built on it, keep their entries' type, so integer vectors pair to
+vectors, and there is no floating point anywhere.  ``dot``, and ``matvec``
+built on it, keep their entries' type, so integer vectors pair to
 an ``int`` without building a ``Fraction``, and refuse a float result;
 ``vec``, ``vscale`` and the eliminations coerce through ``frac``, which
 rejects floats.  The sizes involved are tiny (ambient dimension <= 8), so
@@ -74,22 +74,21 @@ def basis_vec(n, i) -> Vec:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
+def placed_vec(n, positions, values) -> Vec:
+    """The length-n vector with ``values`` at ``positions``, zero elsewhere.
+
+    >>> placed_vec(3, (0, 2), (5, Fraction(1, 2)))
+    (5, Fraction(0, 1), Fraction(1, 2))
+    """
+    out = [Fraction(0)] * n
+    for k, x in zip(positions, values, strict=True):
+        out[k] = x
+    return tuple(out)
+
+
 def matvec(m, v) -> Vec:
     """m acting on the column vector v."""
     return tuple(dot(row, v) for row in m)
-
-
-def vecmat(row, m) -> Vec:
-    """Row vector (covector) times matrix: the pullback of ``row`` along m."""
-    return tuple(dot(row, col) for col in zip(*m))
-
-
-def matmul(a, b) -> Mat:
-    return tuple(vecmat(row, b) for row in a)
-
-
-def identity_matrix(n) -> Mat:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
 def _gauss(rows, width):

@@ -45,6 +45,7 @@ from .linalg import (
     lcm_den,
     mat_inverse,
     matvec,
+    placed_vec,
     solve,
     vadd,
     vec,
@@ -262,27 +263,20 @@ class LatticeSpec:
     def _adapted_basis(self, q):
         """Basis of the lattice's ambient space adapted to the superset q, its
         dual covectors (the relative roots of (subset, q), then the
-        fundamental weights outside q) and which duals also pair with X."""
-        datum = self.datum
-        ctx = datum.truncation
+        fundamental weights outside q) and which duals also pair with X.
+
+        The basis lies on the coordinates outside the subset, so it is the
+        inverse of the duals' block there, read by columns.
+        """
+        ctx = self.datum.truncation
         roots = ctx.walls(self.subset, q)[0]
         weights = ctx.walls(q, ctx.full)[1]
-        positions = {j: i for i, j in enumerate(q)}
-        inv_block = mat_inverse(tuple(tuple(datum.cartan[i][j] for j in q) for i in q)) if q else ()
-        vectors = []
-        for j in q:
-            if j in self.subset:
-                continue
-            v = zero_vec(datum.dim)
-            for i in q:
-                v = vadd(v, vscale(inv_block[positions[i]][positions[j]],
-                                   datum.simple_coroots[i]))
-            vectors.append(v)
-        proj = ctx.projector(q)
-        vectors.extend(matvec(proj, datum.simple_coroots[j])
-                       for j in ctx.full if j not in q)
-        return (tuple(vectors), roots + weights,
-                (False,) * len(roots) + (True,) * len(weights))
+        duals = roots + weights
+        rest = [j for j in ctx.full if j not in self.subset]
+        block = tuple(tuple(cov[k] for k in rest) for cov in duals)
+        vectors = tuple(placed_vec(self.datum.dim, rest, column)
+                        for column in zip(*mat_inverse(block)))
+        return vectors, duals, (False,) * len(roots) + (True,) * len(weights)
 
     def _pick_direction(self, raw):
         """The integer exponent table of a covector pairing nonzero with
@@ -354,9 +348,14 @@ def standard_lattice_spec(datum: RootDatum, subset) -> LatticeSpec:
     ((Fraction(2, 1),),)
     """
     subset = _norm_subset(datum, subset)
-    proj = datum.truncation.projector(subset)
-    basis = [matvec(proj, datum.simple_coroots[j])
-             for j in range(len(datum.cartan)) if j not in subset]
+    ctx = datum.truncation
+    rest = [k for k in ctx.full if k not in subset]
+    roots = ctx.walls(subset, ctx.full)[0]
+    # coordinate k of proj_P(alpha_j^vee) is <alpha_k o proj_P, alpha_j^vee>
+    # for k outside P, and 0 elsewhere
+    basis = [placed_vec(datum.dim, rest,
+                        [dot(root, datum.simple_coroots[j]) for root in roots])
+             for j in rest]
     return LatticeSpec(datum, subset, basis)
 
 

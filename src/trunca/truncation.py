@@ -8,7 +8,11 @@ fundamental weights of a pair (``integer_walls`` the same rows scaled to
 integers), ``root_sum`` the sum of the reduced positive roots of Q outside
 P, each built once per pair.  Strict positivity against
 the roots or the weights of ``walls`` is the acute cone tau or the obtuse
-cone tau-hat of the pair.
+cone tau-hat of the pair.  In coweight coordinates both families are read
+off one table per standard subset S, the rows of the inverse of S's Cartan
+block, which are the S-relative fundamental weights varpi_j^S:
+varpi_j^Q is the weight of j in Q, and alpha_j o proj_P is alpha_j minus
+sum over k in P of <alpha_j, alpha_k^vee> varpi_k^P.
 ``langlands_inversion_check`` evaluates the alternating sum over
 intermediate parabolics that should telescope to a Kronecker delta, and
 ``gamma`` is the compactly-supported alternating-sum function whose support
@@ -27,8 +31,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import WallError
-from .linalg import basis_vec, dot, lcm_den, matvec, scaled_int_vec, solve, vecmat
-from .parabolic import projector_to_aP, relative_weight
+from .linalg import basis_vec, dot, lcm_den, mat_inverse, matvec, placed_vec
+from .linalg import scaled_int_vec, solve
 from .rootdata import RootDatum
 
 
@@ -65,16 +69,21 @@ class TruncationContext:
     def __init__(self, datum: RootDatum):
         self.datum = datum
         self.full = tuple(range(datum.rank_ss))
-        self._proj = {}
+        self._weights = {}
         self._walls = {}
         self._integer_walls = {}
         self._root_sum = {}
 
-    def projector(self, subset):
-        subset = _norm_subset(self.datum, subset)
-        if subset not in self._proj:
-            self._proj[subset] = projector_to_aP(self.datum, subset)
-        return self._proj[subset]
+    def _relative_weights(self, subset):
+        """The S-relative fundamental weights varpi_j^S, j in the sorted
+        subset S ascending: the rows of the inverse of S's block of
+        ``cartan``, each placed on the coordinates in S."""
+        if subset not in self._weights:
+            cartan = self.datum.cartan
+            block = tuple(tuple(cartan[a][b] for b in subset) for a in subset)
+            self._weights[subset] = tuple(placed_vec(self.datum.dim, subset, row)
+                                          for row in mat_inverse(block))
+        return self._weights[subset]
 
     def walls(self, p_subset, q_subset):
         """``(roots, weights)`` of the nested pair P <= Q: for each j in
@@ -90,22 +99,20 @@ class TruncationContext:
         key = (p, q)
         if key not in self._walls:
             _require_nested(p, q)
-            between = [j for j in q if j not in p]
-            # alpha_j o proj_P does not depend on Q, nor varpi_j^Q on P: each
-            # is built once, on the pair (P, G), respectively ((), Q).
-            if q == self.full:
-                roots = tuple(vecmat(self.datum.simple_roots[j], self.projector(p))
-                              for j in between)
-            else:
-                outer = self.walls(p, self.full)[0]
-                rest = [j for j in self.full if j not in p]
-                roots = tuple(outer[rest.index(j)] for j in between)
-            if p:
-                inner = self.walls((), q)[1]
-                weights = tuple(inner[q.index(j)] for j in between)
-            else:
-                weights = tuple(relative_weight(self.datum, q, j) for j in q)
-            self._walls[key] = (roots, weights)
+            cartan, dim = self.datum.cartan, self.datum.dim
+            inner, outer = self._relative_weights(p), self._relative_weights(q)
+            roots, weights = [], []
+            for j, weight in zip(q, outer):
+                if j in p:
+                    continue
+                # alpha_j o proj_P = alpha_j - sum over k in P of
+                # <alpha_j, alpha_k^vee> varpi_k^P
+                root = basis_vec(dim, j)
+                for k, inner_weight in zip(p, inner):
+                    root = tuple(a - cartan[j][k] * b for a, b in zip(root, inner_weight))
+                roots.append(root)
+                weights.append(weight)
+            self._walls[key] = (tuple(roots), tuple(weights))
         return self._walls[key]
 
     def integer_walls(self, p_subset, q_subset):
@@ -217,9 +224,9 @@ class TruncationContext:
         rest = [j for j in self.full if j not in p]
         m = len(rest)
         # h_P is sum_k t_k varpi_k^vee plus a central part that every
-        # fundamental weight kills, so w = w_rows . t.
-        w_rows = [tuple(dot(wt, self.datum.fundamental_coweights[k]) for k in rest)
-                  for wt in weights]
+        # fundamental weight kills, so w = w_rows . t; the fundamental
+        # coweights are the standard basis, so w_rows slices the weights.
+        w_rows = [tuple(wt[k] for k in rest) for wt in weights]
         consts = [dot(wt, x) for wt in weights]
         planes = ([(basis_vec(m, pos), 0) for pos in range(m)]
                   + list(zip(w_rows, consts, strict=True)))

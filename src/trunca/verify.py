@@ -28,10 +28,10 @@ from .charfield import (
     regular_pair,
 )
 from .errors import ConsistencyError, WallError
-from .parabolic import SemiStandardParabolic, enumerate_standard
+from .linalg import dot
+from .parabolic import enumerate_standard
 from .polyhedra import (
     canonical_refinement,
-    degree,
     project_polyhedron,
     random_polyhedron,
     semistability_indicator,
@@ -225,15 +225,20 @@ def _corpus_records(suite: str, check, types, seed: int, samples: int,
 
 def _refinement_check(cp) -> None:
     """The canonical refinement, which cross-checks both of its clauses, and
-    one degree on every chamber of each facet's coset."""
+    one degree on every chamber of each facet's coset.  A degree is the
+    integer pairing of a root sum with a transported vertex, over
+    ``cp.den``, so the pairings are compared."""
     canonical_refinement(cp)
+    ctx = cp.datum.truncation
     weyl = cp.datum.weyl
+    trans = cp.transported()
     for subset in enumerate_standard(cp.datum):
+        root_sum = ctx.root_sum(subset, ctx.full)
+        reps = weyl.min_reps(subset)
         by_rep = {}
         for w in weyl.elements:
-            val = degree(cp, SemiStandardParabolic(subset, w))
-            rep = weyl.min_rep(w, subset).index
-            if by_rep.setdefault(rep, val) != val:
+            val = dot(root_sum, trans[w.index])
+            if by_rep.setdefault(reps[w.index], val) != val:
                 raise ConsistencyError("degree depends on the chamber representative")
 
 

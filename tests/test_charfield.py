@@ -243,24 +243,36 @@ SMALL_FIELDS = [(p, e) for p in range(2, 65) for e in range(1, 7)
                 if p ** e <= 64 and all(p % d for d in range(2, p))]
 
 
+def _table_mul(f, a, b):
+    """a * b read off ``f.tables()``: one addition of logarithms."""
+    antilog, log, _ = f.tables()
+    i, j = f.index(a), f.index(b)
+    if not i or not j:
+        return f.zero
+    return f.coeffs(antilog[(log[i] + log[j]) % (f.order - 1)])
+
+
 @pytest.mark.parametrize("p,e", SMALL_FIELDS)
 def test_tables_match_schoolbook_arithmetic(p, e):
     f = FiniteField(p, e)
     elements = list(f.elements())
     assert [f.index(a) for a in elements] == list(range(f.order))
+    antilog, log, trace = f.tables()
+    assert sorted(antilog) == list(range(1, f.order)) and log[0] is None
+    assert all(log[i] == k for k, i in enumerate(antilog))
     for a in elements:
         assert f.neg(a) == tuple((-c) % p for c in a)
-        assert f.trace(a) == _poly_trace(f, a)
+        assert trace[f.index(a)] == _poly_trace(f, a)
         for b in elements:
-            assert f.mul(a, b) == _poly_mul(f, a, b)
+            assert _table_mul(f, a, b) == _poly_mul(f, a, b)
 
 
 def test_products_are_reduced_mod_p():
     k = FiniteField(7, 3)
-    assert k.mul((2, 0, 0), (4, 0, 0)) == (1, 0, 0)
+    assert _table_mul(k, (2, 0, 0), (4, 0, 0)) == (1, 0, 0)
     k32 = FiniteField(2, 5)
     assert all(c < 2 for a in k32.elements() for b in k32.elements()
-               for c in k32.mul(a, b))
+               for c in _table_mul(k32, a, b))
     # elements of the prime field are fixed by Frobenius, so never regular
     m9 = LieTorusModel(3, 2)
     assert m9.orbit((2, 0)) == ((2, 0), (2, 0))
@@ -275,11 +287,11 @@ def test_products_are_reduced_mod_p():
 def test_finite_field_arithmetic():
     k = FiniteField(2, 2)   # modulus x^2 + x + 1
     r = (0, 1)
-    assert k.mul(r, r) == (1, 1)
-    assert k.trace(r) == 1
+    assert _table_mul(k, r, r) == (1, 1)
+    assert k.tables()[2][k.index(r)] == 1
     k9 = FiniteField(3, 2)  # modulus x^2 + 1
-    assert k9.mul((0, 1), (0, 1)) == (2, 0)
-    assert k9.trace((0, 1)) == 0
+    assert _table_mul(k9, (0, 1), (0, 1)) == (2, 0)
+    assert k9.tables()[2][k9.index((0, 1))] == 0
     assert k9.neg((1, 2)) == (2, 1)
     assert len(list(k9.elements())) == 9
     with pytest.raises(ValueError, match="coefficient count"):

@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+import reference_walls as reference
 from trunca.linalg import dot, matvec
 from trunca.parabolic import (
     SemiStandardParabolic,
     enumerate_semistandard,
     enumerate_standard,
-    projector_to_aP,
-    relative_weight,
     semistandard_contains,
 )
+from trunca.quasipoly import standard_lattice_spec
 from trunca.rootdata import build_root_datum
 from trunca.truncation import TruncationContext
 
@@ -66,20 +66,26 @@ def test_semistandard_count(kind, count):
 
 @pytest.mark.parametrize("kind", ["A2", "B2", "G2", "A3"])
 def test_projector_properties(kind):
+    # the reference projector is idempotent, kills exactly the coroots of
+    # the subset, and its image is annihilated by the subset's simple roots;
+    # the relative roots alpha_j o proj_P of walls kill those coroots too,
+    # and agree with alpha_j on the image
     datum = build_root_datum(kind)
+    ctx = datum.truncation
     for subset in subsets(datum.rank_ss):
-        proj = projector_to_aP(datum, subset)
-        # idempotent
+        proj = reference.projector(datum, subset)
+        rest = [j for j in range(datum.rank_ss) if j not in subset]
+        roots = ctx.walls(subset, ctx.full)[0]
         for v in datum.simple_coroots + datum.fundamental_coweights:
-            assert matvec(proj, matvec(proj, v)) == matvec(proj, v)
-        # kills exactly the coroots of the subset...
-        for i in subset:
-            assert all(x == 0 for x in matvec(proj, datum.simple_coroots[i]))
-        # ...and the image is annihilated by the subset's simple roots
-        for v in datum.fundamental_coweights:
             img = matvec(proj, v)
+            assert matvec(proj, img) == img
             for i in subset:
                 assert dot(datum.simple_roots[i], img) == 0
+            for j, root in zip(rest, roots, strict=True):
+                assert dot(root, v) == dot(root, img) == dot(datum.simple_roots[j], img)
+        for i in subset:
+            assert all(x == 0 for x in matvec(proj, datum.simple_coroots[i]))
+            assert all(dot(root, datum.simple_coroots[i]) == 0 for root in roots)
 
 
 def test_project_aP_is_a_direct_sum_split():
@@ -89,10 +95,9 @@ def test_project_aP_is_a_direct_sum_split():
         datum = build_root_datum(kind)
         odd = (Fraction(3, 7),) + (Fraction(-2),) * (datum.dim - 1)
         for subset in subsets(datum.rank_ss):
-            proj = projector_to_aP(datum, subset)
             coroots = [datum.simple_coroots[i] for i in subset]
             for v in datum.fundamental_coweights + (odd,):
-                v_p = matvec(proj, v)
+                v_p = reference.project(datum, subset, v)
                 assert _rank(coroots + [tuple(a - b for a, b in zip(v, v_p))]) == len(subset)
                 for i in subset:
                     assert dot(datum.simple_roots[i], v_p) == 0
@@ -109,34 +114,54 @@ def test_relative_weights_are_dual_to_projected_coroots(kind):
             between = sorted(set(q) - set(p))
             roots, weights = ctx.walls(p, q)
             assert len(roots) == len(between) == len(weights)
-            proj = projector_to_aP(datum, p)
-            proj_q = projector_to_aP(datum, q)
             for j, root in zip(between, roots):
                 # the root at position j is alpha_j o proj_P
                 for v in datum.fundamental_coweights:
-                    assert dot(root, v) == dot(datum.simple_roots[j], matvec(proj, v))
+                    assert dot(root, v) == dot(datum.simple_roots[j],
+                                               reference.project(datum, p, v))
             # <hat_delta_i, proj_P alpha_j^vee> = delta_ij on Q - P
             for a, wt in zip(between, weights):
                 for b in between:
-                    got = dot(wt, matvec(proj, datum.simple_coroots[b]))
+                    got = dot(wt, reference.project(datum, p, datum.simple_coroots[b]))
                     assert got == (1 if a == b else 0)
                 # relative weights vanish on a_Q: on projected coweights
                 for v in datum.fundamental_coweights:
-                    assert dot(wt, matvec(proj_q, v)) == 0
+                    assert dot(wt, reference.project(datum, q, v)) == 0
 
 
 def test_relative_weight_at_full_subset_is_ambient():
     datum = build_root_datum("A3")
-    full = (0, 1, 2)
-    for j in full:
-        assert relative_weight(datum, full, j) == datum.fundamental_weights[j]
+    assert datum.truncation.walls((), (0, 1, 2))[1] == datum.fundamental_weights
 
 
 def test_relative_weight_differs_from_ambient_inside():
     # inside a proper parabolic the Q-relative weight is not the ambient one
     datum = build_root_datum("A2")
-    assert relative_weight(datum, (0,), 0) != datum.fundamental_weights[0]
-    assert relative_weight(datum, (0,), 0) == (Fraction(1, 2), Fraction(0))
+    (weight,) = datum.truncation.walls((), (0,))[1]
+    assert weight != datum.fundamental_weights[0]
+    assert weight == (Fraction(1, 2), Fraction(0))
+
+
+REFERENCE_TYPES = ("A1", "A1xA1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4", "C4",
+                   "D4", "F4", "A2xB2")
+
+
+@pytest.mark.parametrize("rank_central", [0, 1])
+@pytest.mark.parametrize("kind", REFERENCE_TYPES)
+def test_walls_and_bases_match_the_projector_construction(kind, rank_central):
+    # every row read off the inverse Cartan blocks equals the projector and
+    # per-weight inverse construction: the walls of each nested pair, the
+    # standard lattice's basis and each superset's adapted basis
+    datum = build_root_datum(kind, rank_central)
+    ctx = datum.truncation
+    standard = subsets(datum.rank_ss)
+    for p in standard:
+        spec = standard_lattice_spec(datum, p)
+        assert spec.basis == reference.lattice_basis(datum, p), p
+        for q in standard:
+            if set(p) <= set(q):
+                assert ctx.walls(p, q) == reference.walls(datum, p, q), (p, q)
+                assert spec._adapted_basis(q)[0] == reference.adapted_basis(datum, p, q), (p, q)
 
 
 def test_containment_of_semistandard_parabolics():

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_walls import project, relative_root, relative_weight
+
 from trunca.errors import WallError
-from trunca.linalg import dot, enumerate_box, matvec, vadd, vecmat, vscale
-from trunca.parabolic import enumerate_standard, projector_to_aP, relative_weight
+from trunca.linalg import dot, enumerate_box, vadd, vscale
+from trunca.parabolic import enumerate_standard
 from trunca.polyhedra import canonical_refinement, random_polyhedron, semistability_indicator
 from trunca.quasipoly import LatticeSpec, _coordinate_ranges, brute_sum, standard_lattice_spec
 from trunca.rootdata import build_root_datum, fold
@@ -316,7 +318,7 @@ def _product_form(ctx, subset, h, x):
     """gamma as the product over j outside P of [t_j > 0] - [w_j > c_j],
     built from the datum alone: t_j = <alpha_j, h_P>, w_j = <varpi_j, h_P>."""
     datum = ctx.datum
-    h_p = matvec(projector_to_aP(datum, subset), h)
+    h_p = project(datum, subset, h)
     value = 1
     for j in range(datum.rank_ss):
         if j not in subset:
@@ -338,7 +340,7 @@ def test_gamma_is_the_product_form_and_lies_in_its_box(inputs):
     assert value == _product_form(ctx, subset, h, x)
     if value != 0 and len(subset) < ctx.datum.rank_ss:
         b0 = standard_lattice_spec(ctx.datum, subset).basis[0]
-        base = vadd(matvec(ctx.projector(subset), h), vscale(-k, b0))
+        base = vadd(project(ctx.datum, subset, h), vscale(-k, b0))
         spec = _sheared_spec(ctx.datum, subset, shear, base)
         lo, hi = _coordinate_ranges(spec, ctx.gamma_support_box(subset, x), 0)
         n = (k,) + (0,) * (spec.rank - 1)
@@ -361,7 +363,7 @@ def _planted_walls(draw):
     p, q = draw(st.sampled_from(pairs))
     j = draw(st.sampled_from(sorted(set(q) - set(p))))
     if draw(st.booleans()):  # the relative root alpha_j o proj_P
-        wall = vecmat(datum.simple_roots[j], projector_to_aP(datum, p))
+        wall = relative_root(datum, p, j)
         step = datum.fundamental_coweights[j]
     else:  # the Q-relative fundamental weight of j
         wall = relative_weight(datum, q, j)
@@ -395,8 +397,9 @@ def test_inversion_holds_next_to_every_wall(inputs):
 def test_context_caches_stay_bounded():
     # gamma, brute_sum and the refinement checks of many distinct X, h and
     # polyhedra share the datum's one context, and leave in it at most one
-    # walls, integer_walls and root_sum entry per nested pair and one projector per
-    # subset: nothing keyed by X, h or a polyhedron is kept.
+    # walls, integer_walls and root_sum entry per nested pair and one table of
+    # relative weights per subset: nothing keyed by X, h or a polyhedron is
+    # kept.
     datum = build_root_datum("A2")
     spec = standard_lattice_spec(datum, ())
     ctx = datum.truncation
@@ -421,7 +424,7 @@ def test_context_caches_stay_bounded():
     assert not any(isinstance(v, TruncationContext) for v in vars(spec).values())
     assert len(ctx._walls) <= 3 ** n and len(ctx._root_sum) <= 3 ** n
     assert len(ctx._integer_walls) <= 3 ** n
-    assert len(ctx._proj) <= 2 ** n
+    assert len(ctx._weights) <= 2 ** n
 
 
 def _root_sum_data():
